@@ -82,7 +82,7 @@ void BM_NipsCi(benchmark::State& state) {
 BENCHMARK(BM_NipsCi)->Arg(1000)->Arg(10000)->Arg(100000);
 
 // The batched ingest fast path: identical sketch, amortized dispatch,
-// precomputed hashes, prefetched cells. The delta against BM_NipsCi at
+// precomputed hashes, prefetched bitmaps. The delta against BM_NipsCi at
 // the same arg is the ObserveBatch win.
 void BM_NipsCiObserveBatch(benchmark::State& state) {
   auto pairs = MakeTuples(state.range(0));

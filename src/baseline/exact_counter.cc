@@ -24,8 +24,8 @@ void ExactImplicationCounter::Observe(ItemsetKey a, ItemsetKey b) {
 }
 
 size_t ExactImplicationCounter::MemoryBytes() const {
-  // Bucket array + per-node overhead + the states themselves (the same
-  // accounting FringeCell::MemoryBytes uses for its table).
+  // Bucket array + per-node overhead (two pointers, approximately) + the
+  // states themselves.
   size_t bytes = sizeof(*this) + items_.bucket_count() * sizeof(void*);
   for (const auto& [key, state] : items_) {
     bytes += sizeof(key) + state.MemoryBytes() + 2 * sizeof(void*);

@@ -70,9 +70,30 @@ void FlushDirtyExclusionMetrics() {
   }
 }
 
+size_t FringeCell::LowerBound(ItemsetKey key) const {
+  // Branchless binary search: the halving step compiles to a conditional
+  // move, where std::lower_bound's data-dependent branch mispredicts on
+  // about every other probe of these short, randomly keyed arrays.
+  size_t base = 0;
+  size_t len = items_.size();
+  while (len > 1) {
+    const size_t half = len / 2;
+    base = items_[base + half - 1].key < key ? base + half : base;
+    len -= half;
+  }
+  return base + (len == 1 && items_[base].key < key ? 1 : 0);
+}
+
 FringeCell::Outcome FringeCell::Observe(ItemsetKey a, ItemsetKey b,
-                                        const ImplicationConditions& cond) {
-  ItemsetState& state = items_[a];
+                                        const ImplicationConditions& cond,
+                                        uint64_t stamp) {
+  const size_t i = LowerBound(a);
+  if (!HasKeyAt(i, a)) {
+    items_.insert(items_.begin() + static_cast<std::ptrdiff_t>(i),
+                  Entry{a, 0, ItemsetState()});
+  }
+  if (stamp != 0) items_[i].stamp = stamp;
+  ItemsetState& state = items_[i].state;
   bool was_dirty = state.dirty();
   bool dirty = state.Observe(b, cond);
   if (state.supported(cond)) has_supported_ = true;
@@ -85,20 +106,25 @@ FringeCell::Outcome FringeCell::Observe(ItemsetKey a, ItemsetKey b,
 FringeCell::Outcome FringeCell::Merge(const FringeCell& other,
                                       const ImplicationConditions& cond) {
   Outcome outcome = Outcome::kUndecided;
-  for (const auto& [key, other_state] : other.items_) {
-    auto [it, inserted] = items_.try_emplace(key, other_state);
-    if (!inserted) {
+  for (const Entry& theirs : other.items_) {
+    const size_t i = LowerBound(theirs.key);
+    if (!HasKeyAt(i, theirs.key)) {
+      items_.insert(items_.begin() + static_cast<std::ptrdiff_t>(i),
+                    Entry{theirs.key, 0, theirs.state});
+    } else {
       // Count only exclusions the merge itself discovers; a dirty state
       // arriving from the other side was already counted where it turned
       // dirty (or predates this process — see DirtyReason).
-      bool was_dirty = it->second.dirty();
-      it->second.Merge(other_state, cond);
-      if (!was_dirty && it->second.dirty()) {
-        IMPLISTAT_IF_METRICS(CountDirtyExclusion(it->second.dirty_reason()));
+      ItemsetState& mine = items_[i].state;
+      bool was_dirty = mine.dirty();
+      mine.Merge(theirs.state, cond);
+      if (!was_dirty && mine.dirty()) {
+        IMPLISTAT_IF_METRICS(CountDirtyExclusion(mine.dirty_reason()));
       }
     }
-    if (it->second.dirty()) outcome = Outcome::kNonImplication;
-    if (it->second.supported(cond)) has_supported_ = true;
+    const ItemsetState& merged = items_[i].state;
+    if (merged.dirty()) outcome = Outcome::kNonImplication;
+    if (merged.supported(cond)) has_supported_ = true;
   }
   if (other.has_supported_) has_supported_ = true;
   return outcome;
@@ -107,17 +133,12 @@ FringeCell::Outcome FringeCell::Merge(const FringeCell& other,
 void FringeCell::SerializeTo(ByteWriter* out) const {
   out->PutBool(has_supported_);
   out->PutVarint64(items_.size());
-  // Canonical order: the map iterates in insertion-history order, which a
-  // restore cannot reproduce, so sort by key — two cells with the same
-  // tracked itemsets serialize to the same bytes no matter how they got
-  // there (live stream, merge, or an earlier restore).
-  std::vector<ItemsetKey> keys;
-  keys.reserve(items_.size());
-  for (const auto& [key, state] : items_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  for (ItemsetKey key : keys) {
-    out->PutU64(key);
-    items_.at(key).SerializeTo(out);
+  // Canonical (key) order — the vector's own order — so two cells with
+  // the same tracked itemsets serialize to the same bytes no matter how
+  // they got there (live stream, merge, or an earlier restore).
+  for (const Entry& e : items_) {
+    out->PutU64(e.key);
+    e.state.SerializeTo(out);
   }
 }
 
@@ -129,12 +150,31 @@ StatusOr<FringeCell> FringeCell::Deserialize(ByteReader* in) {
   if (items > (uint64_t{1} << 28)) {
     return Status::InvalidArgument("FringeCell: implausible itemset count");
   }
+  // An entry encodes to at least 17 bytes (u64 key + the smallest
+  // ItemsetState), so the bytes present bound a sane reservation.
+  cell.items_.reserve(std::min<uint64_t>(items, in->remaining() / 17));
+  bool sorted = true;
   for (uint64_t i = 0; i < items; ++i) {
     ItemsetKey key;
     IMPLISTAT_RETURN_NOT_OK(in->ReadU64(&key));
     IMPLISTAT_ASSIGN_OR_RETURN(ItemsetState state,
                                ItemsetState::Deserialize(in));
-    cell.items_.emplace(key, std::move(state));
+    if (!cell.items_.empty() && key <= cell.items_.back().key) {
+      sorted = false;
+    }
+    cell.items_.push_back(Entry{key, 0, std::move(state)});
+  }
+  if (!sorted) {
+    // Our writers always emit strictly increasing keys; foreign input is
+    // canonicalized, the first occurrence of a duplicated key winning.
+    auto by_key = [](const Entry& x, const Entry& y) { return x.key < y.key; };
+    std::stable_sort(cell.items_.begin(), cell.items_.end(), by_key);
+    auto same_key = [](const Entry& x, const Entry& y) {
+      return x.key == y.key;
+    };
+    cell.items_.erase(
+        std::unique(cell.items_.begin(), cell.items_.end(), same_key),
+        cell.items_.end());
   }
   return cell;
 }
@@ -143,17 +183,15 @@ void FringeCell::SerializeItemPatchTo(uint64_t since_stamp,
                                       ByteWriter* out) const {
   out->PutBool(has_supported_);
   out->PutVarint64(items_.size());
-  std::vector<ItemsetKey> changed;
-  for (const auto& [key, stamp] : stamps_) {
-    if (stamp > since_stamp) changed.push_back(key);
-  }
+  uint64_t changed = 0;
+  for (const Entry& e : items_) changed += e.stamp > since_stamp;
+  out->PutVarint64(changed);
   // Canonical key order, matching SerializeTo: the patch bytes for a
   // given change set are unique no matter the observation order.
-  std::sort(changed.begin(), changed.end());
-  out->PutVarint64(changed.size());
-  for (ItemsetKey key : changed) {
-    out->PutU64(key);
-    items_.at(key).SerializeTo(out);
+  for (const Entry& e : items_) {
+    if (e.stamp <= since_stamp) continue;
+    out->PutU64(e.key);
+    e.state.SerializeTo(out);
   }
 }
 
@@ -188,7 +226,7 @@ StatusOr<FringeCell::ItemPatch> FringeCell::DeserializeItemPatch(
 size_t FringeCell::NewKeys(const ItemPatch& patch) const {
   size_t inserts = 0;
   for (const auto& [key, state] : patch.items) {
-    if (items_.find(key) == items_.end()) ++inserts;
+    if (!HasKeyAt(LowerBound(key), key)) ++inserts;
   }
   return inserts;
 }
@@ -196,26 +234,26 @@ size_t FringeCell::NewKeys(const ItemPatch& patch) const {
 size_t FringeCell::ApplyItemPatch(ItemPatch&& patch) {
   const size_t before = items_.size();
   for (auto& [key, state] : patch.items) {
-    items_.insert_or_assign(key, std::move(state));
+    const size_t i = LowerBound(key);
+    if (HasKeyAt(i, key)) {
+      items_[i].state = std::move(state);
+    } else {
+      items_.insert(items_.begin() + static_cast<std::ptrdiff_t>(i),
+                    Entry{key, 0, std::move(state)});
+    }
   }
   has_supported_ = patch.has_supported;
   return items_.size() - before;
 }
 
 size_t FringeCell::MemoryBytes() const {
-  // The map's bucket array is real heap the fringe budget must answer for
-  // (§4.6 is a memory claim); it used to be omitted, undercounting every
-  // populated cell by bucket_count * sizeof(pointer).
-  size_t bytes = sizeof(*this) + items_.bucket_count() * sizeof(void*);
-  for (const auto& [key, state] : items_) {
-    bytes += sizeof(key) + state.MemoryBytes() +
-             2 * sizeof(void*);  // hash-table node overhead, approximately
+  // Every heap byte: the entry array at its capacity, plus each state's
+  // own pair-counter heap (ItemsetState::MemoryBytes counts its inline
+  // part, already inside the array).
+  size_t bytes = sizeof(*this) + items_.capacity() * sizeof(Entry);
+  for (const Entry& e : items_) {
+    bytes += e.state.MemoryBytes() - sizeof(ItemsetState);
   }
-  // Delta-tracking stamps (one u64 per itemset touched since tracking
-  // began; empty unless the owning bitmap serves deltas).
-  bytes += stamps_.bucket_count() * sizeof(void*) +
-           stamps_.size() * (sizeof(ItemsetKey) + sizeof(uint64_t) +
-                             2 * sizeof(void*));
   return bytes;
 }
 

@@ -3,12 +3,17 @@
 // A fringe cell tracks every itemset a hashed into it together with the
 // itemsets of B each appears with, so the cell can be assigned the value 1
 // the moment one tracked itemset becomes a known non-implication.
+//
+// The itemsets live in one flat vector sorted by key. The fringe budget
+// caps a whole bitmap at capacity_factor · (2^F − 1) itemsets (30 at the
+// paper's F = 4), so a binary search beats hashing here and the canonical
+// serialization order comes for free. Only the unbounded-fringe mode lets
+// a cell grow large; inserts there cost a shift of the vector's tail.
 
 #ifndef IMPLISTAT_CORE_FRINGE_CELL_H_
 #define IMPLISTAT_CORE_FRINGE_CELL_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -31,9 +36,11 @@ class FringeCell {
     kNonImplication,   // `a` just became dirty: the cell's value is 1
   };
 
-  /// Records one (a, b) occurrence.
+  /// Records one (a, b) occurrence. A non-zero `stamp` (the owning
+  /// bitmap's change clock, monotone) also marks `a` as changed at that
+  /// clock for delta shipping; 0 leaves the itemset's stamp alone.
   Outcome Observe(ItemsetKey a, ItemsetKey b,
-                  const ImplicationConditions& cond);
+                  const ImplicationConditions& cond, uint64_t stamp = 0);
 
   /// True when some tracked itemset meets the minimum support (drives the
   /// F0_sup scan of Algorithm 2 / §4.4).
@@ -58,8 +65,8 @@ class FringeCell {
   // The fringe is where NIPS state churns, but per poll interval only the
   // itemsets actually observed mutate — a small slice of a mature cell's
   // population. The owning Nips bitmap stamps each touched itemset with
-  // its change clock (NoteStamp); an item patch then ships exactly the
-  // states whose stamp postdates the receiver's baseline, and the
+  // its change clock (Observe's `stamp`); an item patch then ships exactly
+  // the states whose stamp postdates the receiver's baseline, and the
   // receiver upserts them. Itemsets never leave a live cell (a settled
   // cell is shipped as a whole-cell event by the bitmap), so upserts plus
   // the shipped total count reconstruct the sender's cell byte-for-byte.
@@ -72,9 +79,6 @@ class FringeCell {
     uint64_t total_items = 0;
     std::vector<std::pair<ItemsetKey, ItemsetState>> items;
   };
-
-  /// Records that itemset `a` changed at `stamp` (monotone, non-zero).
-  void NoteStamp(ItemsetKey a, uint64_t stamp) { stamps_[a] = stamp; }
 
   /// Serializes the item patch for every itemset stamped after
   /// `since_stamp`. Itemsets never stamped (untouched since tracking
@@ -93,11 +97,22 @@ class FringeCell {
   size_t ApplyItemPatch(ItemPatch&& patch);
 
  private:
-  std::unordered_map<ItemsetKey, ItemsetState> items_;
-  // Last change stamp per itemset touched since the owning bitmap enabled
-  // delta tracking; empty (and never populated) otherwise. Always a
-  // subset of items_' keys, so the fringe budget bounds it too.
-  std::unordered_map<ItemsetKey, uint64_t> stamps_;
+  struct Entry {
+    ItemsetKey key;
+    // Change clock of the itemset's last stamped observe; 0 until then
+    // (always 0 unless the owning bitmap tracks deltas). Merges, restores
+    // and patches never stamp.
+    uint64_t stamp;
+    ItemsetState state;
+  };
+
+  // Index of the first entry with key >= `key` (items_.size() if none).
+  size_t LowerBound(ItemsetKey key) const;
+  bool HasKeyAt(size_t i, ItemsetKey key) const {
+    return i < items_.size() && items_[i].key == key;
+  }
+
+  std::vector<Entry> items_;  // sorted by key, keys unique
   bool has_supported_ = false;
 };
 

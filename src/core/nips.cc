@@ -59,9 +59,7 @@ struct NipsMetrics {
 }  // namespace
 
 Nips::Nips(ImplicationConditions conditions, NipsOptions options)
-    : conditions_(conditions),
-      options_(options),
-      cells_(static_cast<size_t>(options.bitmap_bits)) {
+    : options_(options), conditions_(conditions) {
   IMPLISTAT_CHECK(options_.bitmap_bits >= 1 && options_.bitmap_bits <= 64)
       << "bitmap_bits out of range";
   IMPLISTAT_CHECK(conditions_.Validate().ok()) << "invalid conditions";
@@ -71,6 +69,13 @@ Nips::Nips(ImplicationConditions conditions, NipsOptions options)
   FlushDirtyExclusionMetrics();
 }
 
+void Nips::GrowStamps(int cells) {
+  auto grown = std::make_unique<uint64_t[]>(static_cast<size_t>(cells));
+  std::copy_n(stamps_.get(), stamped_cells_, grown.get());  // rest zeroed
+  stamps_ = std::move(grown);
+  stamped_cells_ = static_cast<uint8_t>(cells);
+}
+
 size_t Nips::TrackedItemsets() const {
   FlushMetrics();
   return tracked_;
@@ -78,28 +83,26 @@ size_t Nips::TrackedItemsets() const {
 
 void Nips::FlushMetrics() const {
   if constexpr (obs::kMetricsEnabled) {
-    // Cumulative insertions are implied by the traffic invariant: every
-    // itemset ever inserted is either still tracked or left through an
-    // eviction/promotion. Deriving them here keeps ObserveAt free of any
-    // metric bookkeeping at all.
-    uint64_t insertions = tracked_ + totals_.evictions + totals_.promotions;
-    const EventTotals& t = totals_;
-    EventTotals& r = reported_;
-    if (insertions != insertions_reported_ || t.evictions != r.evictions ||
-        t.promotions != r.promotions ||
-        t.settled_non_implication != r.settled_non_implication ||
-        t.settled_budget != r.settled_budget ||
-        t.settled_merge != r.settled_merge) {
+    // Insertions are implied by the traffic invariant: every itemset that
+    // entered since the last flush is either still tracked or left
+    // through an eviction/promotion counted in pending_. Deriving them
+    // here keeps ObserveAt free of any metric bookkeeping at all.
+    // (Unsigned wrap-around is fine: the sum is never negative.)
+    const EventTotals& p = pending_;
+    const uint64_t insertions =
+        tracked_ - tracked_reported_ + p.evictions + p.promotions;
+    if (insertions != 0 || p.evictions != 0 || p.promotions != 0 ||
+        p.settled_non_implication != 0 || p.settled_budget != 0 ||
+        p.settled_merge != 0) {
       NipsMetrics& m = NipsMetrics::Get();
-      m.insertions->Increment(insertions - insertions_reported_);
-      m.evictions->Increment(t.evictions - r.evictions);
-      m.promotions->Increment(t.promotions - r.promotions);
-      m.settled_non_implication->Increment(t.settled_non_implication -
-                                           r.settled_non_implication);
-      m.settled_budget->Increment(t.settled_budget - r.settled_budget);
-      m.settled_merge->Increment(t.settled_merge - r.settled_merge);
-      insertions_reported_ = insertions;
-      r = t;
+      m.insertions->Increment(insertions);
+      m.evictions->Increment(p.evictions);
+      m.promotions->Increment(p.promotions);
+      m.settled_non_implication->Increment(p.settled_non_implication);
+      m.settled_budget->Increment(p.settled_budget);
+      m.settled_merge->Increment(p.settled_merge);
+      tracked_reported_ = tracked_;
+      pending_ = EventTotals();
     }
     FlushDirtyExclusionMetrics();
   }
@@ -110,6 +113,25 @@ size_t Nips::ItemBudget() const {
   int f = std::min(options_.fringe_size, 40);
   return static_cast<size_t>(options_.capacity_factor) *
          ((size_t{1} << f) - 1);
+}
+
+FringeCell& Nips::SlotFor(int cell) {
+  const size_t index = SlotIndex(cell);
+  if (!(live_ & Bit(cell))) {
+    // Grow by exactly one: a cell turns live at most once and settles at
+    // most once, so exact sizing costs at most two reallocations per cell.
+    slots_.reserve(slots_.size() + 1);
+    slots_.emplace(slots_.begin() + static_cast<std::ptrdiff_t>(index));
+    live_ |= Bit(cell);
+  }
+  return slots_[index];
+}
+
+void Nips::EraseSlot(int cell) {
+  slots_.erase(slots_.begin() +
+               static_cast<std::ptrdiff_t>(SlotIndex(cell)));
+  slots_.shrink_to_fit();
+  live_ &= ~Bit(cell);
 }
 
 void Nips::ObserveAt(int cell, ItemsetKey a, ItemsetKey b) {
@@ -125,23 +147,19 @@ void Nips::ObserveAt(int cell, ItemsetKey a, ItemsetKey b) {
     if (delta_tracking_) ++clock_;
   }
   if (cell < fringe_left_) return;  // Zone-1: value already 1, recorded
-  Cell& c = cells_[cell];
-  if (c.one) return;  // recorded events are never erased
+  if (one_ & Bit(cell)) return;     // recorded events are never erased
 
-  if (!c.data) c.data = std::make_unique<FringeCell>();
-  size_t before = c.data->num_itemsets();
-  FringeCell::Outcome outcome = c.data->Observe(a, b, conditions_);
-  size_t after = c.data->num_itemsets();
-  tracked_ += after - before;  // an increase is an insertion; see FlushMetrics
-  if (c.data->has_supported()) c.has_supported = true;
-  if (delta_tracking_) {
-    // A fringe observe always mutates the tracked state (at minimum the
-    // itemset's support count). If the outcome settles the cell below,
-    // DecideOne re-stamps it and frees the data (stamps included).
-    ++clock_;
-    c.stamp = clock_;
-    c.data->NoteStamp(a, clock_);
-  }
+  // A fringe observe always mutates the tracked state (at minimum the
+  // itemset's support count), so under tracking the cell and the itemset
+  // take the next clock value. If the outcome settles the cell below,
+  // DecideOne re-stamps it and frees the itemsets (stamps included).
+  Stamp(cell);
+  const uint64_t stamp = delta_tracking_ ? clock_ : 0;
+  FringeCell& fringe = SlotFor(cell);
+  size_t before = fringe.num_itemsets();
+  FringeCell::Outcome outcome = fringe.Observe(a, b, conditions_, stamp);
+  tracked_ += fringe.num_itemsets() - before;  // see FlushMetrics
+  if (fringe.has_supported()) supported_ |= Bit(cell);
 
   if (outcome == FringeCell::Outcome::kNonImplication) {
     DecideOne(cell, SettleCause::kNonImplication);
@@ -152,25 +170,7 @@ void Nips::ObserveAt(int cell, ItemsetKey a, ItemsetKey b) {
 
 bool Nips::CellIsOne(int cell) const {
   if (cell < fringe_left_) return true;
-  return cells_[cell].one;
-}
-
-int Nips::RNonImplication() const {
-  int i = fringe_left_;
-  while (i < options_.bitmap_bits && cells_[i].one) ++i;
-  return i;
-}
-
-int Nips::RSupport() const {
-  // §4.4: a fringe cell counts as (virtually) 1 for the F0_sup scan when
-  // some itemset in it meets the minimum support; Zone-1 cells count by
-  // definition.
-  int i = fringe_left_;
-  while (i < options_.bitmap_bits &&
-         (cells_[i].one || cells_[i].has_supported)) {
-    ++i;
-  }
-  return i;
+  return (one_ & Bit(cell)) != 0;
 }
 
 Status Nips::Merge(const Nips& other) {
@@ -186,22 +186,19 @@ Status Nips::Merge(const Nips& other) {
     fringe_right_ = other.fringe_right_;
   }
   for (int i = 0; i < options_.bitmap_bits; ++i) {
-    Cell& mine = cells_[i];
-    if (mine.one) continue;
+    if (one_ & Bit(i)) continue;
     if (other.CellIsOne(i)) {
       DecideOne(i, SettleCause::kMerge);
       continue;
     }
-    const Cell& theirs = other.cells_[i];
-    if (theirs.has_supported) mine.has_supported = true;
-    if (theirs.data == nullptr) continue;
-    if (mine.data == nullptr) mine.data = std::make_unique<FringeCell>();
-    size_t before = mine.data->num_itemsets();
-    FringeCell::Outcome outcome =
-        mine.data->Merge(*theirs.data, conditions_);
-    size_t after = mine.data->num_itemsets();
-    tracked_ += after - before;
-    if (mine.data->has_supported()) mine.has_supported = true;
+    if (other.supported_ & Bit(i)) supported_ |= Bit(i);
+    const FringeCell* theirs = other.SlotAt(i);
+    if (theirs == nullptr) continue;
+    FringeCell& mine = SlotFor(i);
+    size_t before = mine.num_itemsets();
+    FringeCell::Outcome outcome = mine.Merge(*theirs, conditions_);
+    tracked_ += mine.num_itemsets() - before;
+    if (mine.has_supported()) supported_ |= Bit(i);
     if (outcome == FringeCell::Outcome::kNonImplication) {
       DecideOne(i, SettleCause::kNonImplication);
     }
@@ -219,11 +216,14 @@ void Nips::SerializeTo(ByteWriter* out) const {
   out->PutU32(static_cast<uint32_t>(options_.bitmap_bits));
   out->PutU32(static_cast<uint32_t>(fringe_left_));
   out->PutU32(static_cast<uint32_t>(fringe_right_ + 1));  // -1 → 0
-  for (const Cell& cell : cells_) {
-    out->PutBool(cell.one);
-    out->PutBool(cell.has_supported);
-    out->PutBool(cell.data != nullptr);
-    if (cell.data) cell.data->SerializeTo(out);
+  // Per cell: value, has_supported, has_data [, FringeCell].
+  size_t slot = 0;
+  for (int i = 0; i < options_.bitmap_bits; ++i) {
+    const bool has_data = (live_ & Bit(i)) != 0;
+    out->PutBool((one_ & Bit(i)) != 0);
+    out->PutBool((supported_ & Bit(i)) != 0);
+    out->PutBool(has_data);
+    if (has_data) slots_[slot++].SerializeTo(out);
   }
 }
 
@@ -249,11 +249,14 @@ StatusOr<Nips> Nips::Deserialize(ByteReader* in) {
   }
   nips.fringe_left_ = static_cast<int>(left);
   nips.fringe_right_ = static_cast<int>(right_plus_1) - 1;
-  for (Cell& cell : nips.cells_) {
-    IMPLISTAT_RETURN_NOT_OK(in->ReadBool(&cell.one));
-    IMPLISTAT_RETURN_NOT_OK(in->ReadBool(&cell.has_supported));
-    bool has_data;
+  std::vector<FringeCell> slots;  // in cell order
+  for (int i = 0; i < options.bitmap_bits; ++i) {
+    bool one, has_supported, has_data;
+    IMPLISTAT_RETURN_NOT_OK(in->ReadBool(&one));
+    IMPLISTAT_RETURN_NOT_OK(in->ReadBool(&has_supported));
     IMPLISTAT_RETURN_NOT_OK(in->ReadBool(&has_data));
+    if (one) nips.one_ |= Bit(i);
+    if (has_supported) nips.supported_ |= Bit(i);
     if (has_data) {
       IMPLISTAT_ASSIGN_OR_RETURN(FringeCell fringe,
                                  FringeCell::Deserialize(in));
@@ -261,18 +264,23 @@ StatusOr<Nips> Nips::Deserialize(ByteReader* in) {
       // insertions — automatic, since insertions are derived from
       // tracked_ (see FlushMetrics).
       nips.tracked_ += fringe.num_itemsets();
-      cell.data = std::make_unique<FringeCell>(std::move(fringe));
+      nips.live_ |= Bit(i);
+      slots.push_back(std::move(fringe));
     }
   }
+  slots.shrink_to_fit();  // exact capacity, as SlotFor keeps it
+  nips.slots_ = std::move(slots);
   return nips;
 }
 
 size_t Nips::MemoryBytes() const {
   FlushMetrics();
-  size_t bytes = sizeof(*this) + cells_.size() * sizeof(Cell);
-  for (const Cell& c : cells_) {
-    if (c.data) bytes += c.data->MemoryBytes();
+  size_t bytes = sizeof(*this) + slots_.capacity() * sizeof(FringeCell);
+  for (const FringeCell& fringe : slots_) {
+    // The FringeCell's inline part is already counted in the array.
+    bytes += fringe.MemoryBytes() - sizeof(FringeCell);
   }
+  bytes += stamped_cells_ * sizeof(uint64_t);
   return bytes;
 }
 
@@ -280,22 +288,21 @@ void Nips::SerializeDeltaTo(uint64_t since_clock, ByteWriter* out) const {
   FlushMetrics();
   out->PutVarint64(static_cast<uint64_t>(fringe_left_));
   out->PutVarint64(static_cast<uint64_t>(fringe_right_ + 1));  // -1 → 0
-  std::vector<bool> changed(cells_.size());
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    changed[i] = cells_[i].stamp > since_clock;
-  }
+  const int bits = options_.bitmap_bits;
+  std::vector<bool> changed(static_cast<size_t>(bits));
+  for (int i = 0; i < bits; ++i) changed[i] = StampOf(i) > since_clock;
   delta::EncodeMask(changed, out);
-  for (size_t i = 0; i < cells_.size(); ++i) {
+  for (int i = 0; i < bits; ++i) {
     if (!changed[i]) continue;
-    const Cell& c = cells_[i];
-    if (c.one) {
+    const bool has_supported = (supported_ & Bit(i)) != 0;
+    if (one_ & Bit(i)) {
       out->PutU8(0);  // settled since the baseline
-      out->PutBool(c.has_supported);
+      out->PutBool(has_supported);
     } else {
       out->PutU8(1);  // live: ship the touched itemsets
-      out->PutBool(c.has_supported);
-      if (c.data) {
-        c.data->SerializeItemPatchTo(since_clock, out);
+      out->PutBool(has_supported);
+      if (const FringeCell* fringe = SlotAt(i)) {
+        fringe->SerializeItemPatchTo(since_clock, out);
       } else {
         FringeCell().SerializeItemPatchTo(since_clock, out);
       }
@@ -322,13 +329,12 @@ StatusOr<Nips::DeltaPatch> Nips::DecodeDeltaSection(ByteReader* in) const {
   patch.fringe_right = static_cast<int>(right_plus_1) - 1;
 
   std::vector<bool> changed;
-  IMPLISTAT_RETURN_NOT_OK(
-      delta::DecodeMask(in, cells_.size(), &changed));
-  std::vector<bool> settles(cells_.size(), false);
-  for (size_t i = 0; i < cells_.size(); ++i) {
+  IMPLISTAT_RETURN_NOT_OK(delta::DecodeMask(in, bits, &changed));
+  uint64_t settles = 0;  // bit i: the patch settles cell i
+  for (int i = 0; i < options_.bitmap_bits; ++i) {
     if (!changed[i]) continue;
     DeltaPatch::CellPatch cell;
-    cell.index = static_cast<int>(i);
+    cell.index = i;
     uint8_t mode;
     IMPLISTAT_RETURN_NOT_OK(in->ReadU8(&mode));
     if (mode > 1) {
@@ -339,11 +345,11 @@ StatusOr<Nips::DeltaPatch> Nips::DecodeDeltaSection(ByteReader* in) const {
     // Either mode names a cell that was undecided at the baseline; one
     // that is already 1 here means sender and receiver disagree about
     // the baseline state — refuse and let the caller resync.
-    if (cells_[i].one) {
+    if (one_ & Bit(i)) {
       return Status::InvalidArgument("Nips delta: cell already settled");
     }
     if (cell.settled) {
-      settles[i] = true;
+      settles |= Bit(i);
     } else {
       if (cell.index < patch.fringe_left) {
         return Status::InvalidArgument(
@@ -351,11 +357,10 @@ StatusOr<Nips::DeltaPatch> Nips::DecodeDeltaSection(ByteReader* in) const {
       }
       IMPLISTAT_ASSIGN_OR_RETURN(cell.items,
                                  FringeCell::DeserializeItemPatch(in));
-      const size_t have =
-          cells_[i].data ? cells_[i].data->num_itemsets() : 0;
+      const FringeCell* fringe = SlotAt(i);
+      const size_t have = fringe ? fringe->num_itemsets() : 0;
       const size_t inserts =
-          cells_[i].data ? cells_[i].data->NewKeys(cell.items)
-                         : cell.items.items.size();
+          fringe ? fringe->NewKeys(cell.items) : cell.items.items.size();
       if (have + inserts != cell.items.total_items) {
         return Status::InvalidArgument(
             "Nips delta: itemset count mismatch (desynced baseline)");
@@ -365,25 +370,26 @@ StatusOr<Nips::DeltaPatch> Nips::DecodeDeltaSection(ByteReader* in) const {
   }
   // Advancing the fringe's left edge must leave only settled cells
   // behind it (Zone-1 invariant).
-  for (int j = fringe_left_; j < patch.fringe_left; ++j) {
-    if (!cells_[static_cast<size_t>(j)].one && !settles[static_cast<size_t>(j)]) {
-      return Status::InvalidArgument(
-          "Nips delta: fringe advanced over an undecided cell");
-    }
+  const uint64_t decided = one_ | settles;
+  if (RunOfOnes(decided, fringe_left_, options_.bitmap_bits) <
+      patch.fringe_left - fringe_left_) {
+    return Status::InvalidArgument(
+        "Nips delta: fringe advanced over an undecided cell");
   }
   return patch;
 }
 
 void Nips::ApplyDeltaPatch(DeltaPatch&& patch) {
   for (DeltaPatch::CellPatch& cell : patch.cells) {
-    Cell& c = cells_[static_cast<size_t>(cell.index)];
-    if (cell.settled) {
-      DecideOne(cell.index, SettleCause::kMerge);
-      c.has_supported = cell.cell_has_supported;
+    const int i = cell.index;
+    if (cell.settled) DecideOne(i, SettleCause::kMerge);
+    if (cell.cell_has_supported) {
+      supported_ |= Bit(i);
     } else {
-      c.has_supported = cell.cell_has_supported;
-      if (!c.data) c.data = std::make_unique<FringeCell>();
-      tracked_ += c.data->ApplyItemPatch(std::move(cell.items));
+      supported_ &= ~Bit(i);
+    }
+    if (!cell.settled) {
+      tracked_ += SlotFor(i).ApplyItemPatch(std::move(cell.items));
     }
   }
   fringe_left_ = patch.fringe_left;
@@ -391,39 +397,36 @@ void Nips::ApplyDeltaPatch(DeltaPatch&& patch) {
 }
 
 void Nips::DecideOne(int cell, SettleCause cause) {
-  Cell& c = cells_[cell];
-  if (delta_tracking_) {
-    ++clock_;
-    c.stamp = clock_;
-  }
-  if (c.data) {
-    size_t freed = c.data->num_itemsets();
+  Stamp(cell);
+  if (live_ & Bit(cell)) {
+    size_t freed = slots_[SlotIndex(cell)].num_itemsets();
     tracked_ -= freed;
     IMPLISTAT_IF_METRICS(
-        (cause == SettleCause::kBudget ? totals_.evictions
-                                       : totals_.promotions) += freed);
-    c.data.reset();  // free all the memory allocated for the cell
+        (cause == SettleCause::kBudget ? pending_.evictions
+                                       : pending_.promotions) += freed);
+    EraseSlot(cell);  // free all the memory allocated for the cell
   }
   IMPLISTAT_IF_METRICS({
     switch (cause) {
       case SettleCause::kNonImplication:
-        ++totals_.settled_non_implication;
+        ++pending_.settled_non_implication;
         break;
       case SettleCause::kBudget:
-        ++totals_.settled_budget;
+        ++pending_.settled_budget;
         break;
       case SettleCause::kMerge:
-        ++totals_.settled_merge;
+        ++pending_.settled_merge;
         break;
     }
   });
-  c.one = true;
+  one_ |= Bit(cell);
 }
 
 void Nips::ShrinkLeft() {
-  while (fringe_left_ <= fringe_right_ &&
-         fringe_left_ < options_.bitmap_bits && cells_[fringe_left_].one) {
-    ++fringe_left_;
+  // Only up to the rightmost hashed cell: the fringe never passes it.
+  const int limit = std::min(fringe_right_ + 1, options_.bitmap_bits);
+  if (fringe_left_ < limit) {
+    fringe_left_ += RunOfOnes(one_, fringe_left_, limit);
   }
 }
 

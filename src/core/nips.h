@@ -24,10 +24,22 @@
 // This class operates on pre-computed cell positions so that an ensemble
 // (nips_ci_ensemble.h) can split one hash into routing bits and p() bits;
 // use NipsCi for the user-facing estimator.
+//
+// Layout. A bitmap has at most 64 cells, so the two per-cell flags — the
+// decided value and "saw a supported itemset" — are bit masks, and the
+// §4.3.2 readout positions are bit scans. Zone-1 (left of the fringe)
+// needs nothing else. Only undecided cells that hold itemsets own a
+// FringeCell, kept in a dense array ordered by cell index and located
+// through a third mask (a cell's slot is the number of live cells below
+// it). A cell turns live at most once and settles at most once, so
+// the slot array is kept at its exact size. Per-cell change stamps exist
+// only once delta tracking is on. A bitmap thus costs its header plus
+// O(tracked itemsets).
 
 #ifndef IMPLISTAT_CORE_NIPS_H_
 #define IMPLISTAT_CORE_NIPS_H_
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -63,24 +75,32 @@ class Nips {
   /// cell.
   void ObserveAt(int cell, ItemsetKey a, ItemsetKey b);
 
-  /// Cache hint that `cell`'s slot is about to be touched by ObserveAt.
-  /// The batched ingest paths (NipsCi::ObserveBatch, the shard workers of
-  /// src/parallel) issue these a few records ahead so the cell loads of a
-  /// batch overlap instead of serializing on misses.
-  void PrefetchCell(int cell) const {
-    if (cell >= options_.bitmap_bits) cell = options_.bitmap_bits - 1;
-    __builtin_prefetch(&cells_[static_cast<size_t>(cell)], /*rw=*/1,
-                       /*locality=*/1);
+  /// Cache hint that ObserveAt is about to touch this bitmap. The batched
+  /// ingest paths (NipsCi::ObserveBatch, the shard workers of
+  /// src/parallel) issue these a few records ahead so the loads of a batch
+  /// overlap instead of serializing on misses. The masks that decide most
+  /// observes live in the header; a live cell's itemsets sit behind the
+  /// slot array.
+  void Prefetch() const {
+    __builtin_prefetch(this, /*rw=*/1, /*locality=*/1);
+    __builtin_prefetch(slots_.data(), /*rw=*/1, /*locality=*/1);
   }
 
   /// Raw position R_~S: index of the leftmost cell whose value is not 1.
   /// Feeds the non-implication estimate (Algorithm 2, lines 5–8).
-  int RNonImplication() const;
+  int RNonImplication() const {
+    return fringe_left_ + RunOfOnes(one_, fringe_left_, options_.bitmap_bits);
+  }
 
   /// Raw position R_F0sup: index of the leftmost cell with neither value 1
   /// nor a tracked itemset meeting the minimum support (Algorithm 2, lines
-  /// 1–4, with the §4.4 "virtual one" rule).
-  int RSupport() const;
+  /// 1–4, with the §4.4 "virtual one" rule: a fringe cell counts as 1 when
+  /// some itemset in it meets the minimum support; Zone-1 cells count by
+  /// definition).
+  int RSupport() const {
+    return fringe_left_ +
+           RunOfOnes(one_ | supported_, fringe_left_, options_.bitmap_bits);
+  }
 
   /// Cell value as the bitmap sees it.
   bool CellIsOne(int cell) const;
@@ -169,19 +189,57 @@ class Nips {
   const NipsOptions& options() const { return options_; }
 
  private:
-  struct Cell {
-    bool one = false;            // decided value 1
-    bool has_supported = false;  // saw an itemset with φ(a) ≥ σ
-    uint64_t stamp = 0;          // change_clock() at last mutation
-    std::unique_ptr<FringeCell> data;
-  };
-
   // Why a cell settled to value 1 — distinguishes the §4.3.3 forced
   // fixation (its freed itemsets are "evictions") from genuine
   // non-implication / merge settles ("promotions"). Observability only.
   enum class SettleCause { kNonImplication, kBudget, kMerge };
 
   bool bounded() const { return options_.fringe_size > 0; }
+
+  static uint64_t Bit(int cell) { return uint64_t{1} << cell; }
+
+  // Length of the run of set bits in `mask` starting at bit `from`, capped
+  // so that from + run <= bits. `from` may equal `bits` (an empty run).
+  static int RunOfOnes(uint64_t mask, int from, int bits) {
+    if (from >= bits) return 0;
+    const int run = std::countr_one(mask >> from);
+    return run < bits - from ? run : bits - from;
+  }
+
+  // Index into slots_ of `cell`'s FringeCell (whether or not it exists):
+  // the number of live cells below it. The live mask is sparse (a cell or
+  // two), so clearing bits one at a time beats std::popcount, which is a
+  // library call on x86-64 builds without -mpopcnt.
+  size_t SlotIndex(int cell) const {
+    size_t n = 0;
+    for (uint64_t below = live_ & (Bit(cell) - 1); below != 0;
+         below &= below - 1) {
+      ++n;
+    }
+    return n;
+  }
+  // `cell`'s FringeCell, or nullptr when it holds none.
+  const FringeCell* SlotAt(int cell) const {
+    return (live_ & Bit(cell)) ? &slots_[SlotIndex(cell)] : nullptr;
+  }
+  // `cell`'s FringeCell, created empty if it holds none.
+  FringeCell& SlotFor(int cell);
+  // Frees `cell`'s FringeCell (which must exist).
+  void EraseSlot(int cell);
+
+  // Change stamp of `cell`: the clock of its last mutation since delta
+  // tracking began, 0 otherwise.
+  uint64_t StampOf(int cell) const {
+    return cell < stamped_cells_ ? stamps_[cell] : 0;
+  }
+  // Under tracking, bumps the change clock and stamps `cell` with it.
+  void Stamp(int cell) {
+    if (!delta_tracking_) return;
+    if (cell >= stamped_cells_) GrowStamps(cell + 1);
+    stamps_[cell] = ++clock_;
+  }
+  // Extends stamps_ to `cells` entries, the new ones 0.
+  void GrowStamps(int cells);
 
   // Marks `cell` as value 1 and releases its tracked itemsets.
   void DecideOne(int cell, SettleCause cause);
@@ -193,33 +251,45 @@ class Nips {
   // fixation).
   void EnforceBudget();
 
-  // Lifetime event totals, kept with plain adds on the (rare) settle path
-  // so ObserveAt stays instrumentation-free: cumulative insertions are
-  // derived, not counted — every itemset that ever entered is either
-  // still tracked or left through an eviction/promotion, so
-  //   insertions == tracked_ + evictions + promotions
-  // at all times. FlushMetrics() (const — a bookkeeping side effect,
-  // hence the mutable reported state) pushes the delta against what was
-  // last reported into the registry's atomics at read boundaries.
+  // Settle events since the last FlushMetrics, kept with plain adds on
+  // the (rare) settle path so ObserveAt stays instrumentation-free.
+  // Insertions are derived, not counted — every itemset that enters is
+  // either still tracked or leaves through an eviction/promotion — so
+  // the insertions since the last flush are
+  //   (tracked_ − tracked_reported_) + evictions + promotions.
+  // FlushMetrics() (const — a bookkeeping side effect, hence mutable)
+  // pushes them into the registry's atomics at read boundaries.
   struct EventTotals {
     uint64_t evictions = 0;
     uint64_t promotions = 0;
-    uint64_t settled_non_implication = 0;
-    uint64_t settled_budget = 0;
-    uint64_t settled_merge = 0;
+    // A cell settles at most once, so these stay near the cell count.
+    uint32_t settled_non_implication = 0;
+    uint32_t settled_budget = 0;
+    uint32_t settled_merge = 0;
   };
 
-  ImplicationConditions conditions_;
+  // ObserveAt's fields come first: most observes are decided by the
+  // fringe bounds and the masks alone.
   NipsOptions options_;
-  std::vector<Cell> cells_;
-  EventTotals totals_;
-  mutable EventTotals reported_;
-  mutable uint64_t insertions_reported_ = 0;
-  size_t tracked_ = 0;
   int fringe_left_ = 0;    // leftmost undecided cell (Zone-1 ends here)
   int fringe_right_ = -1;  // rightmost hashed cell; -1 before any input
   bool delta_tracking_ = false;
+  uint8_t stamped_cells_ = 0;  // length of stamps_
+  uint64_t one_ = 0;        // bit i: cell i decided to value 1
+  uint64_t live_ = 0;       // bit i: cell i owns a FringeCell in slots_
+  uint64_t supported_ = 0;  // bit i: cell i saw an itemset with φ(a) ≥ σ
+  // One per live_ bit, in cell order, at exact capacity.
+  std::vector<FringeCell> slots_;
+  // Per-cell change stamps of cells [0, stamped_cells_). Allocated on the
+  // first stamp after EnableDeltaTracking and grown to the highest cell
+  // stamped so far (cells right of the fringe are never touched), so an
+  // untracked bitmap pays nothing and a tracked one pays for its fringe.
+  std::unique_ptr<uint64_t[]> stamps_;
   uint64_t clock_ = 0;     // mutation counter; see EnableDeltaTracking
+  size_t tracked_ = 0;
+  ImplicationConditions conditions_;
+  mutable size_t tracked_reported_ = 0;
+  mutable EventTotals pending_;
 };
 
 }  // namespace implistat

@@ -81,7 +81,7 @@ void NipsCi::ObserveImpl(ItemsetKey a, ItemsetKey b) {
 
 void NipsCi::ObserveBatch(std::span<const ItemsetPair> batch) {
   // Three passes per chunk: (1) hash — a tight loop with no memory
-  // dependencies, (2) prefetch every target cell, (3) the per-cell
+  // dependencies, (2) prefetch every target bitmap, (3) the per-cell
   // updates, whose leading loads now overlap instead of serializing on
   // misses. Per-bitmap observation order is exactly batch order, so the
   // sketch state is bit-identical to the per-tuple path.
@@ -91,7 +91,7 @@ void NipsCi::ObserveBatch(std::span<const ItemsetPair> batch) {
     const size_t n = std::min(kChunk, batch.size() - base);
     for (size_t i = 0; i < n; ++i) routes[i] = RouteOf(batch[base + i].a);
     for (size_t i = 0; i < n; ++i) {
-      bitmaps_[routes[i].bitmap].PrefetchCell(routes[i].cell);
+      bitmaps_[routes[i].bitmap].Prefetch();
     }
     for (size_t i = 0; i < n; ++i) {
       const ItemsetPair& p = batch[base + i];
@@ -291,8 +291,10 @@ void NipsCi::RecordDeltaMark(uint64_t epoch) {
       return;
     }
   }
+  if (delta_marks_.size() == kMaxDeltaMarks) {
+    delta_marks_.erase(delta_marks_.begin());
+  }
   delta_marks_.push_back(DeltaMark{epoch, std::move(clocks)});
-  while (delta_marks_.size() > kMaxDeltaMarks) delta_marks_.pop_front();
 }
 
 const NipsCi::DeltaMark* NipsCi::FindDeltaMark(uint64_t epoch) const {
@@ -383,8 +385,16 @@ Status NipsCi::ApplyDelta(std::string_view fragment) {
 
 size_t NipsCi::MemoryBytes() const {
   FlushMetrics();
-  size_t bytes = sizeof(*this);
+  // Every heap byte the ensemble holds: the hasher (tabulation's tables
+  // are 16 KiB), the bitmap array and what each bitmap owns, and the
+  // remembered delta baselines (up to kMaxDeltaMarks clocks per bitmap).
+  size_t bytes = sizeof(*this) + hasher_->MemoryBytes() +
+                 (bitmaps_.capacity() - bitmaps_.size()) * sizeof(Nips);
   for (const Nips& nips : bitmaps_) bytes += nips.MemoryBytes();
+  bytes += delta_marks_.capacity() * sizeof(DeltaMark);
+  for (const DeltaMark& mark : delta_marks_) {
+    bytes += mark.clocks.capacity() * sizeof(uint64_t);
+  }
   return bytes;
 }
 

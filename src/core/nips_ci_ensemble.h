@@ -9,7 +9,6 @@
 #define IMPLISTAT_CORE_NIPS_CI_ENSEMBLE_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -41,7 +40,7 @@ class NipsCi final : public ImplicationEstimator {
   void Observe(ItemsetKey a, ItemsetKey b) override;
 
   /// Batched fast path: one virtual call per batch, hashes precomputed in
-  /// a tight loop, each target cell software-prefetched before its update.
+  /// a tight loop, each target bitmap software-prefetched before its update.
   /// Bit-identical to calling Observe per element (same routing, same
   /// per-bitmap order); the ingest count stays exact, only the sampled
   /// latency histogram skips batch-fed tuples.
@@ -197,7 +196,7 @@ class NipsCi final : public ImplicationEstimator {
   uint64_t sample_countdown_ = obs::kLatencySampleMask + 1;
   uint64_t observe_count_base_ = 0;
   mutable uint64_t observe_flushed_ = 0;
-  mutable std::deque<DeltaMark> delta_marks_;
+  mutable std::vector<DeltaMark> delta_marks_;  // oldest first
 };
 
 /// First byte of every NipsCi delta fragment (cross-kind apply check).

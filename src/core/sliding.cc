@@ -36,7 +36,7 @@ void SlidingNipsCi::Observe(ItemsetKey a, ItemsetKey b) {
   // `window` old answers window queries, older ones are no longer needed.
   while (origins_.size() >= 2 &&
          origins_[1].start + options_.window <= tuples_) {
-    origins_.pop_front();
+    origins_.erase(origins_.begin());
   }
 }
 
@@ -53,9 +53,10 @@ double SlidingNipsCi::WindowNonImplicationEstimate() const {
 }
 
 size_t SlidingNipsCi::MemoryBytes() const {
-  size_t bytes = sizeof(*this);
+  size_t bytes = sizeof(*this) + origins_.capacity() * sizeof(Origin) +
+                 delta_epochs_.capacity() * sizeof(uint64_t);
   for (const Origin& origin : origins_) {
-    bytes += sizeof(Origin) + origin.estimator->MemoryBytes();
+    bytes += origin.estimator->MemoryBytes();
   }
   return bytes;
 }
@@ -101,7 +102,7 @@ Status SlidingNipsCi::RestoreState(std::string_view snapshot) {
       num_origins > in.remaining()) {
     return Status::InvalidArgument("SlidingNipsCi: implausible origin count");
   }
-  std::deque<Origin> origins;
+  std::vector<Origin> origins;
   uint64_t prev_start = 0;
   for (uint64_t i = 0; i < num_origins; ++i) {
     uint64_t start;
@@ -147,8 +148,10 @@ void SlidingNipsCi::RecordDeltaEpoch(uint64_t epoch) {
   for (uint64_t e : delta_epochs_) {
     if (e == epoch) return;
   }
+  if (delta_epochs_.size() == kMaxDeltaEpochs) {
+    delta_epochs_.erase(delta_epochs_.begin());
+  }
   delta_epochs_.push_back(epoch);
-  while (delta_epochs_.size() > kMaxDeltaEpochs) delta_epochs_.pop_front();
 }
 
 void SlidingNipsCi::NoteSnapshotEpoch(uint64_t epoch) {
@@ -281,9 +284,10 @@ Status SlidingNipsCi::ApplyDelta(std::string_view fragment) {
     return Status::InvalidArgument("SlidingNipsCi: trailing delta bytes");
   }
 
-  // Phase 2: infallible. Rebuild the deque in shipped order; origins the
+  // Phase 2: infallible. Rebuild the origins in shipped order; origins the
   // sender no longer lists were retired there and drop here.
-  std::deque<Origin> rebuilt;
+  std::vector<Origin> rebuilt;
+  rebuilt.reserve(pending.size());
   for (Pending& p : pending) {
     if (p.full) {
       rebuilt.push_back(Origin{p.start, std::move(p.full)});

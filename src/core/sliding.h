@@ -12,10 +12,10 @@
 #define IMPLISTAT_CORE_SLIDING_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/estimator.h"
 #include "core/nips_ci_ensemble.h"
@@ -96,12 +96,12 @@ class SlidingNipsCi {
 
   ImplicationConditions conditions_;
   SlidingOptions options_;
-  std::deque<Origin> origins_;
+  std::vector<Origin> origins_;  // oldest first
   uint64_t tuples_ = 0;
   uint64_t next_seed_ = 0;
   // Epochs with a remembered baseline (per-origin clocks live in the
   // origins' own ensembles; this gates the NotFound answer).
-  std::deque<uint64_t> delta_epochs_;
+  std::vector<uint64_t> delta_epochs_;  // oldest first
 };
 
 /// Adapts SlidingNipsCi to the ImplicationEstimator interface so the

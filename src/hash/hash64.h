@@ -9,6 +9,7 @@
 #ifndef IMPLISTAT_HASH_HASH64_H_
 #define IMPLISTAT_HASH_HASH64_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -24,6 +25,10 @@ class Hasher64 {
 
   /// Clones this hasher (same seed / tables).
   virtual std::unique_ptr<Hasher64> Clone() const = 0;
+
+  /// Bytes a heap-allocated instance occupies (tabulation carries 16 KiB
+  /// of tables), for the owners' MemoryBytes accounting.
+  virtual size_t MemoryBytes() const = 0;
 };
 
 /// Stateless strong mixer: SplitMix64 of the key XOR-ed with a *mixed*
@@ -36,6 +41,7 @@ class MixHasher final : public Hasher64 {
   explicit MixHasher(uint64_t seed);
   uint64_t Hash(uint64_t key) const override;
   std::unique_ptr<Hasher64> Clone() const override;
+  size_t MemoryBytes() const override { return sizeof(*this); }
  private:
   uint64_t mask_;
 };

@@ -26,6 +26,7 @@ class LinearGf2Hasher final : public Hasher64 {
 
   uint64_t Hash(uint64_t key) const override;
   std::unique_ptr<Hasher64> Clone() const override;
+  size_t MemoryBytes() const override { return sizeof(*this); }
 
  private:
   // columns_[j] is the j-th column of M, so M·x = XOR of columns where x

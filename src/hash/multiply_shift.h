@@ -25,6 +25,7 @@ class MultiplyShiftHasher final : public Hasher64 {
 
   uint64_t Hash(uint64_t key) const override;
   std::unique_ptr<Hasher64> Clone() const override;
+  size_t MemoryBytes() const override { return sizeof(*this); }
 
  private:
   unsigned __int128 a_;

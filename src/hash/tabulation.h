@@ -23,6 +23,7 @@ class TabulationHasher final : public Hasher64 {
 
   uint64_t Hash(uint64_t key) const override;
   std::unique_ptr<Hasher64> Clone() const override;
+  size_t MemoryBytes() const override { return sizeof(*this); }
 
  private:
   // 8 tables of 256 random words, filled from the seed.

@@ -149,8 +149,7 @@ void ShardedNipsCi::ProcessBatch(const IngestBatch& batch) {
   for (uint32_t i = 0; i < n; ++i) {
     if (i + kPrefetchAhead < n) {
       const RoutedTuple& ahead = batch.records[i + kPrefetchAhead];
-      inner_.bitmap(static_cast<int>(ahead.bitmap))
-          .PrefetchCell(ahead.cell);
+      inner_.bitmap(static_cast<int>(ahead.bitmap)).Prefetch();
     }
     const RoutedTuple& r = batch.records[i];
     inner_.ObserveRouted(NipsCi::Route{r.bitmap, r.cell}, r.a, r.b);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace implistat {
 namespace {
 
@@ -63,6 +65,42 @@ TEST(FringeCellTest, MemoryGrowsWithItemsets) {
   size_t empty = cell.MemoryBytes();
   for (ItemsetKey a = 0; a < 32; ++a) cell.Observe(a, 1000, cond);
   EXPECT_GT(cell.MemoryBytes(), empty);
+}
+
+// Our writers emit itemsets in strictly increasing key order; a foreign
+// snapshot may not. Decoding canonicalizes it: keys sorted, and the first
+// occurrence of a duplicated key wins.
+TEST(FringeCellTest, DeserializeCanonicalizesForeignKeyOrder) {
+  auto cond = OneToOne(100);
+  ItemsetState once, twice;
+  once.Observe(1000, cond);
+  twice.Observe(1000, cond);
+  twice.Observe(1000, cond);
+  ByteWriter foreign;
+  foreign.PutBool(false);
+  foreign.PutVarint64(3);
+  foreign.PutU64(9);
+  twice.SerializeTo(&foreign);
+  foreign.PutU64(4);
+  once.SerializeTo(&foreign);
+  foreign.PutU64(9);  // duplicate: dropped
+  once.SerializeTo(&foreign);
+  ByteReader in(foreign.str());
+  auto cell = FringeCell::Deserialize(&in);
+  ASSERT_TRUE(cell.ok()) << cell.status().message();
+  EXPECT_TRUE(in.AtEnd());
+  EXPECT_EQ(cell->num_itemsets(), 2u);
+
+  ByteWriter canonical;
+  canonical.PutBool(false);
+  canonical.PutVarint64(2);
+  canonical.PutU64(4);
+  once.SerializeTo(&canonical);
+  canonical.PutU64(9);
+  twice.SerializeTo(&canonical);
+  ByteWriter out;
+  cell->SerializeTo(&out);
+  EXPECT_EQ(out.str(), canonical.str());
 }
 
 }  // namespace
