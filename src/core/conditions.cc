@@ -1,6 +1,7 @@
 #include "core/conditions.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace implistat {
 
@@ -28,42 +29,130 @@ Status ImplicationConditions::Validate() const {
   return Status::OK();
 }
 
+ItemsetState::ItemsetState(const ItemsetState& other) {
+  CopyFlagsFrom(other);
+  CopyPairsFrom(other);
+}
+
+ItemsetState::ItemsetState(ItemsetState&& other) noexcept {
+  CopyFlagsFrom(other);
+  counters_ = other.counters_;
+  storage_ = std::exchange(other.storage_, Storage::kEmpty);
+}
+
+ItemsetState& ItemsetState::operator=(const ItemsetState& other) {
+  if (this != &other) {
+    ClearPairs();
+    CopyFlagsFrom(other);
+    CopyPairsFrom(other);
+  }
+  return *this;
+}
+
+ItemsetState& ItemsetState::operator=(ItemsetState&& other) noexcept {
+  if (this != &other) {
+    ClearPairs();
+    CopyFlagsFrom(other);
+    counters_ = other.counters_;
+    storage_ = std::exchange(other.storage_, Storage::kEmpty);
+  }
+  return *this;
+}
+
+void ItemsetState::CopyFlagsFrom(const ItemsetState& other) {
+  support_ = other.support_;
+  mult_ = other.mult_;
+  dirty_reason_ = other.dirty_reason_;
+  dirty_ = other.dirty_;
+  mult_exceeded_ = other.mult_exceeded_;
+  unlimited_tracking_ = other.unlimited_tracking_;
+}
+
+void ItemsetState::CopyPairsFrom(const ItemsetState& other) {
+  counters_ = other.counters_;
+  storage_ = other.storage_;
+  if (storage_ == Storage::kSpilled) {
+    const uint32_t size = other.counters_.spill.size;
+    counters_.spill.data = new Pair[size];
+    counters_.spill.capacity = size;
+    std::copy_n(other.counters_.spill.data, size, counters_.spill.data);
+  }
+}
+
+void ItemsetState::ClearPairs() {
+  if (storage_ == Storage::kSpilled) delete[] counters_.spill.data;
+  storage_ = Storage::kEmpty;
+}
+
+ItemsetState::Pair* ItemsetState::FindPair(ItemsetKey b) {
+  for (Pair& pair : pairs()) {
+    if (pair.b == b) return &pair;
+  }
+  return nullptr;
+}
+
+void ItemsetState::AppendPair(ItemsetKey b, uint64_t count,
+                              const ImplicationConditions& cond) {
+  if (storage_ == Storage::kEmpty) {
+    counters_.one = Pair{b, count};
+    storage_ = Storage::kInline;
+    return;
+  }
+  const std::span<Pair> held = pairs();
+  const uint32_t size = static_cast<uint32_t>(held.size());
+  const uint32_t capacity =
+      storage_ == Storage::kSpilled ? counters_.spill.capacity : 1;
+  if (size == capacity) {
+    // Double, but never past K counters: a K-bounded state cannot hold
+    // more (only unlimited tracking grows without bound).
+    uint32_t grown = std::max<uint32_t>(2, 2 * capacity);
+    if (!unlimited_tracking_) {
+      grown = std::min(grown, std::max(cond.max_multiplicity, size + 1));
+    }
+    Pair* data = new Pair[grown];
+    std::copy_n(held.data(), size, data);
+    ClearPairs();
+    counters_.spill = Spill{data, size, grown};
+    storage_ = Storage::kSpilled;
+  }
+  counters_.spill.data[counters_.spill.size++] = Pair{b, count};
+}
+
+void ItemsetState::MarkDirty(DirtyReason reason) {
+  dirty_ = true;
+  if (dirty_reason_ == DirtyReason::kNone) dirty_reason_ = reason;
+  ClearPairs();
+}
+
 bool ItemsetState::Observe(ItemsetKey b, const ImplicationConditions& cond) {
   ++support_;
   if (dirty_) return true;  // monotone: stays a non-implication
 
   if (!mult_exceeded_) {
-    auto it = std::find_if(
-        b_counts_.begin(), b_counts_.end(),
-        [b](const std::pair<ItemsetKey, uint64_t>& e) { return e.first == b; });
-    if (it != b_counts_.end()) {
-      ++it->second;
-    } else if (b_counts_.size() < cond.max_multiplicity) {
-      b_counts_.emplace_back(b, 1);
+    if (Pair* pair = FindPair(b)) {
+      ++pair->count;
+    } else if (pairs().size() < cond.max_multiplicity) {
+      AppendPair(b, 1, cond);
       if (mult_ <= cond.max_multiplicity) ++mult_;
     } else if (cond.strict_multiplicity) {
       // A (K+1)-th distinct b: multiplicity condition is violated for good;
       // the individual pair counters are no longer needed.
       mult_exceeded_ = true;
       if (mult_ <= cond.max_multiplicity) ++mult_;
-      b_counts_.clear();
-      b_counts_.shrink_to_fit();
+      ClearPairs();
     } else if (unlimited_tracking_) {
-      b_counts_.emplace_back(b, 1);
+      AppendPair(b, 1, cond);
       if (mult_ <= cond.max_multiplicity) ++mult_;
     } else {
       // Tracking-bound mode: admit the newcomer only by evicting a counter
       // that is still at 1 (an established counter cannot be displaced by
       // a single occurrence). The support counter above is unaffected.
       if (mult_ <= cond.max_multiplicity) ++mult_;
-      auto victim = std::find_if(
-          b_counts_.begin(), b_counts_.end(),
-          [](const std::pair<ItemsetKey, uint64_t>& e) {
-            return e.second == 1;
-          });
-      if (victim != b_counts_.end()) {
-        victim->first = b;
-        victim->second = 1;
+      for (Pair& pair : pairs()) {
+        if (pair.count == 1) {
+          pair = Pair{b, 1};
+          break;
+        }
       }
     }
   }
@@ -74,27 +163,68 @@ bool ItemsetState::Observe(ItemsetKey b, const ImplicationConditions& cond) {
   if (mult_exceeded_ ||
       TopConfidence(cond.confidence_c) + kConfidenceEpsilon <
           cond.min_top_confidence) {
-    dirty_ = true;
-    dirty_reason_ =
-        mult_exceeded_ ? DirtyReason::kMultiplicity : DirtyReason::kConfidence;
-    b_counts_.clear();
-    b_counts_.shrink_to_fit();
+    MarkDirty(mult_exceeded_ ? DirtyReason::kMultiplicity
+                             : DirtyReason::kConfidence);
   }
   return dirty_;
 }
 
-double ItemsetState::TopConfidence(uint32_t c) const {
-  if (support_ == 0 || b_counts_.empty()) return 0.0;
-  // K is small, so copying the counts and partially sorting is cheap.
-  std::vector<uint64_t> counts;
-  counts.reserve(b_counts_.size());
-  for (const auto& [key, n] : b_counts_) counts.push_back(n);
-  size_t take = std::min<size_t>(c, counts.size());
-  std::partial_sort(counts.begin(), counts.begin() + take, counts.end(),
-                    std::greater<uint64_t>());
+uint64_t ItemsetState::TopCountSum(std::span<const Pair> pairs, uint32_t c) {
   uint64_t sum = 0;
-  for (size_t i = 0; i < take; ++i) sum += counts[i];
-  return static_cast<double>(sum) / static_cast<double>(support_);
+  if (c >= pairs.size()) {
+    for (const Pair& pair : pairs) sum += pair.count;
+    return sum;
+  }
+  // Called on every observe of a supported, clean itemset, so no
+  // allocation. Small c (the usual c ≤ K): keep the c largest counts seen
+  // so far in a descending stack buffer.
+  constexpr uint32_t kBuffer = 8;
+  if (c <= kBuffer) {
+    uint64_t top[kBuffer];
+    uint32_t kept = 0;
+    for (const Pair& pair : pairs) {
+      if (kept == c && pair.count <= top[c - 1]) continue;
+      uint32_t i = kept < c ? kept++ : c - 1;
+      for (; i > 0 && top[i - 1] < pair.count; --i) top[i] = top[i - 1];
+      top[i] = pair.count;
+    }
+    for (uint32_t i = 0; i < c; ++i) sum += top[i];
+    return sum;
+  }
+  // Large c: bisect for the c-th largest count v (the largest v with at
+  // least c counts >= v); the sum is every count above v plus enough
+  // copies of v to make c.
+  auto at_least = [&](uint64_t v) {
+    size_t n = 0;
+    for (const Pair& pair : pairs) n += pair.count >= v;
+    return n;
+  };
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  for (const Pair& pair : pairs) hi = std::max(hi, pair.count);
+  while (lo < hi) {
+    const uint64_t mid = lo + (hi - lo) / 2 + 1;
+    if (at_least(mid) >= c) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  size_t above = 0;
+  for (const Pair& pair : pairs) {
+    if (pair.count > lo) {
+      sum += pair.count;
+      ++above;
+    }
+  }
+  return sum + (c - above) * lo;
+}
+
+double ItemsetState::TopConfidence(uint32_t c) const {
+  const std::span<const Pair> held = pairs();
+  if (support_ == 0 || held.empty()) return 0.0;
+  return static_cast<double>(TopCountSum(held, c)) /
+         static_cast<double>(support_);
 }
 
 bool operator==(const ImplicationConditions& a,
@@ -135,41 +265,33 @@ void ItemsetState::Merge(const ItemsetState& other,
   }
   if (other.mult_exceeded_) mult_exceeded_ = true;
   if (dirty_) {
-    b_counts_.clear();
-    b_counts_.shrink_to_fit();
+    ClearPairs();
     return;
   }
   // Fold the other side's pair counters under this state's policy. The
   // per-pair counts add exactly when both sides tracked the pair.
   if (!mult_exceeded_) {
-    for (const auto& [b, count] : other.b_counts_) {
-      auto it = std::find_if(
-          b_counts_.begin(), b_counts_.end(),
-          [b = b](const std::pair<ItemsetKey, uint64_t>& e) {
-            return e.first == b;
-          });
-      if (it != b_counts_.end()) {
-        it->second += count;
-      } else if (b_counts_.size() < cond.max_multiplicity ||
+    for (const Pair& theirs : other.pairs()) {
+      if (Pair* mine = FindPair(theirs.b)) {
+        mine->count += theirs.count;
+      } else if (pairs().size() < cond.max_multiplicity ||
                  unlimited_tracking_) {
-        b_counts_.emplace_back(b, count);
+        AppendPair(theirs.b, theirs.count, cond);
         if (mult_ <= cond.max_multiplicity) ++mult_;
       } else if (cond.strict_multiplicity) {
         mult_exceeded_ = true;
         if (mult_ <= cond.max_multiplicity) ++mult_;
-        b_counts_.clear();
-        b_counts_.shrink_to_fit();
+        ClearPairs();
         break;
       } else {
         // Tracking-bound mode: displace a counter this newcomer outweighs.
-        auto victim = std::min_element(
-            b_counts_.begin(), b_counts_.end(),
-            [](const auto& x, const auto& y) { return x.second < y.second; });
+        const std::span<Pair> mine = pairs();
+        Pair* victim = std::min_element(
+            mine.begin(), mine.end(),
+            [](const Pair& x, const Pair& y) { return x.count < y.count; })
+            .base();
         if (mult_ <= cond.max_multiplicity) ++mult_;
-        if (victim->second < count) {
-          victim->first = b;
-          victim->second = count;
-        }
+        if (victim->count < theirs.count) *victim = theirs;
       }
     }
   }
@@ -177,13 +299,8 @@ void ItemsetState::Merge(const ItemsetState& other,
   if (support_ >= cond.min_support &&
       (mult_exceeded_ ||
        TopConfidence(cond.confidence_c) + 1e-9 < cond.min_top_confidence)) {
-    dirty_ = true;
-    if (dirty_reason_ == DirtyReason::kNone) {
-      dirty_reason_ = mult_exceeded_ ? DirtyReason::kMultiplicity
-                                     : DirtyReason::kConfidence;
-    }
-    b_counts_.clear();
-    b_counts_.shrink_to_fit();
+    MarkDirty(mult_exceeded_ ? DirtyReason::kMultiplicity
+                             : DirtyReason::kConfidence);
   }
 }
 
@@ -193,42 +310,56 @@ void ItemsetState::SerializeTo(ByteWriter* out) const {
   out->PutBool(dirty_);
   out->PutBool(mult_exceeded_);
   out->PutBool(unlimited_tracking_);
-  out->PutVarint64(b_counts_.size());
-  for (const auto& [b, count] : b_counts_) {
-    out->PutU64(b);
-    out->PutVarint64(count);
+  const std::span<const Pair> held = pairs();
+  out->PutVarint64(held.size());
+  for (const Pair& pair : held) {
+    out->PutU64(pair.b);
+    out->PutVarint64(pair.count);
   }
 }
 
 StatusOr<ItemsetState> ItemsetState::Deserialize(ByteReader* in) {
   ItemsetState state;
+  bool dirty, mult_exceeded, unlimited_tracking;
   IMPLISTAT_RETURN_NOT_OK(in->ReadVarint64(&state.support_));
   IMPLISTAT_RETURN_NOT_OK(in->ReadU32(&state.mult_));
-  IMPLISTAT_RETURN_NOT_OK(in->ReadBool(&state.dirty_));
-  IMPLISTAT_RETURN_NOT_OK(in->ReadBool(&state.mult_exceeded_));
-  IMPLISTAT_RETURN_NOT_OK(in->ReadBool(&state.unlimited_tracking_));
+  IMPLISTAT_RETURN_NOT_OK(in->ReadBool(&dirty));
+  IMPLISTAT_RETURN_NOT_OK(in->ReadBool(&mult_exceeded));
+  IMPLISTAT_RETURN_NOT_OK(in->ReadBool(&unlimited_tracking));
+  state.dirty_ = dirty;
+  state.mult_exceeded_ = mult_exceeded;
+  state.unlimited_tracking_ = unlimited_tracking;
   uint64_t pairs;
   IMPLISTAT_RETURN_NOT_OK(in->ReadVarint64(&pairs));
   // Each pair costs at least 9 encoded bytes (fixed u64 + 1-byte varint):
   // bounding the count by the bytes actually present keeps a corrupt
-  // length from forcing a huge reserve before the reads fail.
+  // length from forcing a huge allocation before the reads fail.
   if (pairs > (uint64_t{1} << 24) || pairs > in->remaining() / 9) {
     return Status::InvalidArgument("ItemsetState: implausible pair count");
   }
-  state.b_counts_.reserve(pairs);
+  if (pairs > 1) {
+    const auto n = static_cast<uint32_t>(pairs);
+    state.counters_.spill = Spill{new Pair[n], 0, n};
+    state.storage_ = Storage::kSpilled;
+  }
   for (uint64_t i = 0; i < pairs; ++i) {
-    ItemsetKey b;
-    uint64_t count;
-    IMPLISTAT_RETURN_NOT_OK(in->ReadU64(&b));
-    IMPLISTAT_RETURN_NOT_OK(in->ReadVarint64(&count));
-    state.b_counts_.emplace_back(b, count);
+    Pair pair;
+    IMPLISTAT_RETURN_NOT_OK(in->ReadU64(&pair.b));
+    IMPLISTAT_RETURN_NOT_OK(in->ReadVarint64(&pair.count));
+    if (pairs == 1) {
+      state.counters_.one = pair;
+      state.storage_ = Storage::kInline;
+    } else {
+      state.counters_.spill.data[state.counters_.spill.size++] = pair;
+    }
   }
   return state;
 }
 
 size_t ItemsetState::MemoryBytes() const {
-  return sizeof(*this) +
-         b_counts_.capacity() * sizeof(std::pair<ItemsetKey, uint64_t>);
+  return sizeof(*this) + (storage_ == Storage::kSpilled
+                              ? counters_.spill.capacity * sizeof(Pair)
+                              : 0);
 }
 
 }  // namespace implistat

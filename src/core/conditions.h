@@ -17,7 +17,7 @@
 #define IMPLISTAT_CORE_CONDITIONS_H_
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "stream/itemset.h"
 #include "util/serde.h"
@@ -69,6 +69,14 @@ enum class DirtyReason : uint8_t {
 
 /// Tracks one itemset a of A: its support, the supports of the (a, b)
 /// pairs, and whether a is a known non-implication ("dirty").
+///
+/// Layout (32 bytes). Every fringe itemset of every NIPS bitmap is one of
+/// these, and at the paper's K = 1 an itemset holds a single pair counter,
+/// so the first counter is stored inline: a K = 1 state never allocates.
+/// A second distinct b moves the counters to a heap array (in arrival
+/// order, which is also their serialized order) that grows by doubling,
+/// capped at K unless tracking is unlimited. Dirty and multiplicity-
+/// exceeded states drop their counters and free the array.
 class ItemsetState {
  public:
   /// With `unlimited_tracking` the state keeps a counter for *every*
@@ -78,6 +86,11 @@ class ItemsetState {
   /// where a (K+1)-th b settles the itemset's fate anyway.
   explicit ItemsetState(bool unlimited_tracking = false)
       : unlimited_tracking_(unlimited_tracking) {}
+  ItemsetState(const ItemsetState& other);
+  ItemsetState(ItemsetState&& other) noexcept;
+  ItemsetState& operator=(const ItemsetState& other);
+  ItemsetState& operator=(ItemsetState&& other) noexcept;
+  ~ItemsetState() { ClearPairs(); }
 
   /// Records one occurrence of (a, b) and re-evaluates the conditions.
   /// Returns true iff the itemset is dirty after the update.
@@ -122,13 +135,60 @@ class ItemsetState {
   static StatusOr<ItemsetState> Deserialize(ByteReader* in);
 
  private:
+  // One (a, b) pair counter φ(a, b).
+  struct Pair {
+    ItemsetKey b;
+    uint64_t count;
+  };
+  // The counters once there are two or more: a heap array at `capacity`.
+  struct Spill {
+    Pair* data;
+    uint32_t size;
+    uint32_t capacity;
+  };
+  enum class Storage : uint8_t { kEmpty, kInline, kSpilled };
+
+  std::span<Pair> pairs() {
+    switch (storage_) {
+      case Storage::kInline:
+        return {&counters_.one, 1};
+      case Storage::kSpilled:
+        return {counters_.spill.data, counters_.spill.size};
+      default:
+        return {};
+    }
+  }
+  std::span<const Pair> pairs() const {
+    return const_cast<ItemsetState*>(this)->pairs();
+  }
+  Pair* FindPair(ItemsetKey b);
+  // Sum of the c largest counts (as a multiset, so ties do not matter).
+  static uint64_t TopCountSum(std::span<const Pair> pairs, uint32_t c);
+  // Appends a counter, spilling to (or growing) the heap array.
+  void AppendPair(ItemsetKey b, uint64_t count,
+                  const ImplicationConditions& cond);
+  // Drops every counter and frees the heap array.
+  void ClearPairs();
+  // Marks the state dirty for good (§3.1.1) and drops its counters.
+  void MarkDirty(DirtyReason reason);
+  // Copies `other`'s counters into this state, which holds none.
+  void CopyPairsFrom(const ItemsetState& other);
+  // Copies every field but the counters.
+  void CopyFlagsFrom(const ItemsetState& other);
+
+  union Counters {
+    Pair one;     // Storage::kInline
+    Spill spill;  // Storage::kSpilled
+  };
+
   uint64_t support_ = 0;
-  std::vector<std::pair<ItemsetKey, uint64_t>> b_counts_;
+  Counters counters_ = {};
   uint32_t mult_ = 0;
-  bool dirty_ = false;
-  bool mult_exceeded_ = false;
-  bool unlimited_tracking_ = false;
+  Storage storage_ = Storage::kEmpty;
   DirtyReason dirty_reason_ = DirtyReason::kNone;
+  bool dirty_ : 1 = false;
+  bool mult_exceeded_ : 1 = false;
+  bool unlimited_tracking_ : 1 = false;
 };
 
 }  // namespace implistat

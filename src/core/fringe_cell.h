@@ -7,8 +7,11 @@
 // The itemsets live in one flat vector sorted by key. The fringe budget
 // caps a whole bitmap at capacity_factor · (2^F − 1) itemsets (30 at the
 // paper's F = 4), so a binary search beats hashing here and the canonical
-// serialization order comes for free. Only the unbounded-fringe mode lets
-// a cell grow large; inserts there cost a shift of the vector's tail.
+// serialization order comes for free. An entry is 48 bytes: key, change
+// stamp and a 32-byte ItemsetState whose first pair counter is inline, so
+// a K = 1 itemset owns no heap and an insert's shift of the vector's tail
+// moves plain words. Only the unbounded-fringe mode lets a cell grow
+// large.
 
 #ifndef IMPLISTAT_CORE_FRINGE_CELL_H_
 #define IMPLISTAT_CORE_FRINGE_CELL_H_

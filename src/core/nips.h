@@ -29,16 +29,20 @@
 // decided value and "saw a supported itemset" — are bit masks, and the
 // §4.3.2 readout positions are bit scans. Zone-1 (left of the fringe)
 // needs nothing else. Only undecided cells that hold itemsets own a
-// FringeCell, kept in a dense array ordered by cell index and located
-// through a third mask (a cell's slot is the number of live cells below
-// it). A cell turns live at most once and settles at most once, so
-// the slot array is kept at its exact size. Per-cell change stamps exist
-// only once delta tracking is on. A bitmap thus costs its header plus
-// O(tracked itemsets).
+// FringeCell, kept in a dense heap array of exactly popcount(live) cells
+// ordered by cell index and located through a third mask (a cell's slot
+// is the number of live cells below it). A cell turns live at most once
+// and settles at most once, so the array is resized on those events only.
+// The conditions and options, identical across an ensemble, sit in one
+// shared heap block; per-cell change stamps and the change clock exist
+// only once delta tracking is on; fringe-traffic metrics accumulate in
+// thread-local counters. The header is 56 bytes, so a bitmap costs those
+// plus O(tracked itemsets).
 
 #ifndef IMPLISTAT_CORE_NIPS_H_
 #define IMPLISTAT_CORE_NIPS_H_
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -47,6 +51,7 @@
 #include "core/conditions.h"
 #include "core/fringe_cell.h"
 #include "stream/itemset.h"
+#include "util/logging.h"
 
 namespace implistat {
 
@@ -64,16 +69,41 @@ struct NipsOptions {
   int capacity_factor = 2;
   /// Bitmap length L in cells.
   int bitmap_bits = 58;
+
+  bool operator==(const NipsOptions&) const = default;
 };
 
 class Nips {
  public:
   Nips(ImplicationConditions conditions, NipsOptions options);
+  Nips(Nips&& other) noexcept;
+  Nips& operator=(Nips&& other) noexcept;
+  ~Nips();
+
+  /// An empty bitmap with this one's conditions and options. An ensemble
+  /// builds its bitmaps this way so they share one configuration block.
+  Nips Sibling() const { return Nips(config_); }
 
   /// Records that itemset `a` (hashed to cell `cell`) appeared with `b`.
   /// `cell` must be >= 0; positions beyond the bitmap land in its last
-  /// cell.
-  void ObserveAt(int cell, ItemsetKey a, ItemsetKey b);
+  /// cell (with L = 58 this affects ~2^-58 of the keys).
+  ///
+  /// Inline up to the fringe: once a bitmap has warmed up, nearly every
+  /// observe hashes into Zone-1 or an already decided cell and is done
+  /// after three header loads, without a call.
+  void ObserveAt(int cell, ItemsetKey a, ItemsetKey b) {
+    IMPLISTAT_DCHECK(cell >= 0);
+    if (cell >= bits_) cell = bits_ - 1;
+    if (cell > fringe_right_) {
+      fringe_right_ = static_cast<int8_t>(cell);
+      // The serialized fringe header changed even if the cell observe
+      // below turns out to be a no-op.
+      if (stamps_) ++stamps_[0];
+    }
+    if (cell < fringe_left_) return;  // Zone-1: value already 1, recorded
+    if (one_ & Bit(cell)) return;     // recorded events are never erased
+    ObserveFringe(cell, a, b);
+  }
 
   /// Cache hint that ObserveAt is about to touch this bitmap. The batched
   /// ingest paths (NipsCi::ObserveBatch, the shard workers of
@@ -83,13 +113,13 @@ class Nips {
   /// slot array.
   void Prefetch() const {
     __builtin_prefetch(this, /*rw=*/1, /*locality=*/1);
-    __builtin_prefetch(slots_.data(), /*rw=*/1, /*locality=*/1);
+    __builtin_prefetch(slots_, /*rw=*/1, /*locality=*/1);
   }
 
   /// Raw position R_~S: index of the leftmost cell whose value is not 1.
   /// Feeds the non-implication estimate (Algorithm 2, lines 5–8).
   int RNonImplication() const {
-    return fringe_left_ + RunOfOnes(one_, fringe_left_, options_.bitmap_bits);
+    return fringe_left_ + RunOfOnes(one_, fringe_left_, bits_);
   }
 
   /// Raw position R_F0sup: index of the leftmost cell with neither value 1
@@ -98,8 +128,7 @@ class Nips {
   /// some itemset in it meets the minimum support; Zone-1 cells count by
   /// definition).
   int RSupport() const {
-    return fringe_left_ +
-           RunOfOnes(one_ | supported_, fringe_left_, options_.bitmap_bits);
+    return fringe_left_ + RunOfOnes(one_ | supported_, fringe_left_, bits_);
   }
 
   /// Cell value as the bitmap sees it.
@@ -110,17 +139,18 @@ class Nips {
   /// events into the global registry (see FlushMetrics).
   size_t TrackedItemsets() const;
 
-  /// Folds this bitmap's pending fringe-traffic events (plus the calling
-  /// thread's dirty-exclusion counts) into the global metrics registry.
-  /// The ingest path deliberately never touches an atomic — events
-  /// accumulate in plain members and become visible here. Called from
-  /// every read accessor (TrackedItemsets / MemoryBytes / SerializeTo)
-  /// and from NipsCi before estimates and snapshots; no-op when metrics
-  /// are compiled out.
-  void FlushMetrics() const;
+  /// Folds the calling thread's pending fringe-traffic and dirty-exclusion
+  /// events into the global metrics registry. The ingest path never
+  /// touches an atomic: events accumulate in thread-local counters (for
+  /// every bitmap the thread updates) and become visible here. Called
+  /// from every read accessor (TrackedItemsets / MemoryBytes /
+  /// SerializeTo), from NipsCi before estimates and snapshots, and by
+  /// parallel ingest workers after each batch; no-op when metrics are
+  /// compiled out.
+  static void FlushMetrics();
 
   /// The per-bitmap itemset budget, or 0 when unbounded.
-  size_t ItemBudget() const;
+  size_t ItemBudget() const { return config_->budget; }
 
   /// Folds another bitmap into this one: cell values OR together,
   /// undecided cells merge their tracked itemsets, then the budget is
@@ -131,10 +161,18 @@ class Nips {
   /// rule (see ItemsetState::Merge).
   Status Merge(const Nips& other);
 
+  /// Heap and header bytes of this bitmap, not counting the shared
+  /// configuration block (see ConfigBytes) — an ensemble counts that once.
   size_t MemoryBytes() const;
+  /// Size of the configuration block shared by this bitmap's siblings.
+  static constexpr size_t ConfigBytes() { return sizeof(Config); }
 
   void SerializeTo(ByteWriter* out) const;
-  static StatusOr<Nips> Deserialize(ByteReader* in);
+  /// Decodes one bitmap. With a `sibling`, the decoded conditions and
+  /// options must equal the sibling's, and the bitmap shares its
+  /// configuration block; a mismatch is refused.
+  static StatusOr<Nips> Deserialize(ByteReader* in,
+                                    const Nips* sibling = nullptr);
 
   // --- Delta shipping (src/delta/) ---------------------------------------
   //
@@ -145,17 +183,17 @@ class Nips {
   // after the receiver's baseline clock; applying it to a bitmap that was
   // byte-identical at that clock reproduces this bitmap byte-for-byte
   // (SerializeTo equality). Tracking costs nothing until enabled — the
-  // hot path tests one bool.
+  // hot path tests one pointer.
 
   /// Starts stamping mutations. Idempotent. State mutated before this
   /// call is never shipped in a delta (the baseline full snapshot that
   /// enabled tracking already carries it).
-  void EnableDeltaTracking() { delta_tracking_ = true; }
-  bool delta_tracking() const { return delta_tracking_; }
+  void EnableDeltaTracking();
+  bool delta_tracking() const { return stamps_ != nullptr; }
 
   /// Monotone mutation counter; equal clocks mean byte-identical state
   /// (while tracking is on and no Merge/restore intervened).
-  uint64_t change_clock() const { return clock_; }
+  uint64_t change_clock() const { return stamps_ ? stamps_[0] : 0; }
 
   /// Decoded, target-validated form of one bitmap's delta section.
   struct DeltaPatch {
@@ -185,16 +223,32 @@ class Nips {
 
   int fringe_left() const { return fringe_left_; }
   int fringe_right() const { return fringe_right_; }
-  const ImplicationConditions& conditions() const { return conditions_; }
-  const NipsOptions& options() const { return options_; }
+  const ImplicationConditions& conditions() const {
+    return config_->conditions;
+  }
+  const NipsOptions& options() const { return config_->options; }
 
  private:
+  // What every bitmap of an ensemble has in common, held once on the heap
+  // and shared by reference count. (NipsCi is moved wholesale by
+  // RestoreState, so the block cannot live inside the ensemble object.)
+  struct Config {
+    ImplicationConditions conditions;
+    NipsOptions options;
+    size_t budget;  // ItemBudget(), precomputed for EnforceBudget
+    mutable std::atomic<uint32_t> refs{1};
+  };
+
+  // Shares `config` (one more reference).
+  explicit Nips(const Config* config);
+
+  // ObserveAt for an undecided cell at or right of fringe_left_.
+  void ObserveFringe(int cell, ItemsetKey a, ItemsetKey b);
+
   // Why a cell settled to value 1 — distinguishes the §4.3.3 forced
   // fixation (its freed itemsets are "evictions") from genuine
   // non-implication / merge settles ("promotions"). Observability only.
   enum class SettleCause { kNonImplication, kBudget, kMerge };
-
-  bool bounded() const { return options_.fringe_size > 0; }
 
   static uint64_t Bit(int cell) { return uint64_t{1} << cell; }
 
@@ -226,19 +280,20 @@ class Nips {
   FringeCell& SlotFor(int cell);
   // Frees `cell`'s FringeCell (which must exist).
   void EraseSlot(int cell);
+  size_t NumSlots() const { return static_cast<size_t>(std::popcount(live_)); }
 
   // Change stamp of `cell`: the clock of its last mutation since delta
   // tracking began, 0 otherwise.
   uint64_t StampOf(int cell) const {
-    return cell < stamped_cells_ ? stamps_[cell] : 0;
+    return cell < stamped_cells_ ? stamps_[1 + cell] : 0;
   }
   // Under tracking, bumps the change clock and stamps `cell` with it.
   void Stamp(int cell) {
-    if (!delta_tracking_) return;
+    if (!stamps_) return;
     if (cell >= stamped_cells_) GrowStamps(cell + 1);
-    stamps_[cell] = ++clock_;
+    stamps_[1 + cell] = ++stamps_[0];
   }
-  // Extends stamps_ to `cells` entries, the new ones 0.
+  // Extends the stamps to `cells` cells, the new ones 0.
   void GrowStamps(int cells);
 
   // Marks `cell` as value 1 and releases its tracked itemsets.
@@ -251,45 +306,27 @@ class Nips {
   // fixation).
   void EnforceBudget();
 
-  // Settle events since the last FlushMetrics, kept with plain adds on
-  // the (rare) settle path so ObserveAt stays instrumentation-free.
-  // Insertions are derived, not counted — every itemset that enters is
-  // either still tracked or leaves through an eviction/promotion — so
-  // the insertions since the last flush are
-  //   (tracked_ − tracked_reported_) + evictions + promotions.
-  // FlushMetrics() (const — a bookkeeping side effect, hence mutable)
-  // pushes them into the registry's atomics at read boundaries.
-  struct EventTotals {
-    uint64_t evictions = 0;
-    uint64_t promotions = 0;
-    // A cell settles at most once, so these stay near the cell count.
-    uint32_t settled_non_implication = 0;
-    uint32_t settled_budget = 0;
-    uint32_t settled_merge = 0;
-  };
-
   // ObserveAt's fields come first: most observes are decided by the
-  // fringe bounds and the masks alone.
-  NipsOptions options_;
-  int fringe_left_ = 0;    // leftmost undecided cell (Zone-1 ends here)
-  int fringe_right_ = -1;  // rightmost hashed cell; -1 before any input
-  bool delta_tracking_ = false;
-  uint8_t stamped_cells_ = 0;  // length of stamps_
+  // fringe bounds alone (Zone-1), the rest by the masks.
+  int8_t fringe_left_ = 0;    // leftmost undecided cell (Zone-1 ends here)
+  int8_t fringe_right_ = -1;  // rightmost hashed cell; -1 before any input
+  uint8_t bits_;              // options().bitmap_bits
+  uint8_t stamped_cells_ = 0; // cells covered by stamps_
+  // Itemsets across the fringe. 32 bits: even the unbounded fringe of the
+  // §4.2 straw-man would need tens of gigabytes to overflow it.
+  uint32_t tracked_ = 0;
   uint64_t one_ = 0;        // bit i: cell i decided to value 1
   uint64_t live_ = 0;       // bit i: cell i owns a FringeCell in slots_
   uint64_t supported_ = 0;  // bit i: cell i saw an itemset with φ(a) ≥ σ
-  // One per live_ bit, in cell order, at exact capacity.
-  std::vector<FringeCell> slots_;
-  // Per-cell change stamps of cells [0, stamped_cells_). Allocated on the
-  // first stamp after EnableDeltaTracking and grown to the highest cell
-  // stamped so far (cells right of the fringe are never touched), so an
-  // untracked bitmap pays nothing and a tracked one pays for its fringe.
+  const Config* config_;
+  // One per live_ bit, in cell order; exactly NumSlots() long.
+  FringeCell* slots_ = nullptr;
+  // Delta tracking, allocated by EnableDeltaTracking: [0] is the change
+  // clock, [1 + i] cell i's stamp for cells [0, stamped_cells_). Grown to
+  // the highest cell stamped so far (cells right of the fringe are never
+  // touched), so an untracked bitmap pays nothing and a tracked one pays
+  // for its fringe.
   std::unique_ptr<uint64_t[]> stamps_;
-  uint64_t clock_ = 0;     // mutation counter; see EnableDeltaTracking
-  size_t tracked_ = 0;
-  ImplicationConditions conditions_;
-  mutable size_t tracked_reported_ = 0;
-  mutable EventTotals pending_;
 };
 
 }  // namespace implistat

@@ -65,9 +65,11 @@ NipsCi::NipsCi(ImplicationConditions conditions, NipsCiOptions options)
   }
   IMPLISTAT_CHECK(options_.nips.bitmap_bits >= 1)
       << "too many bitmaps for a 64-bit hash";
+  // The bitmaps share one block of conditions and options.
   bitmaps_.reserve(static_cast<size_t>(options.num_bitmaps));
-  for (int i = 0; i < options.num_bitmaps; ++i) {
-    bitmaps_.emplace_back(conditions_, options_.nips);
+  bitmaps_.emplace_back(conditions_, options_.nips);
+  for (int i = 1; i < options.num_bitmaps; ++i) {
+    bitmaps_.push_back(bitmaps_.front().Sibling());
   }
   // Pre-register the pipeline metrics (merge/serialize counters included)
   // so a snapshot taken before any such event still lists them at zero.
@@ -136,7 +138,7 @@ void NipsCi::FlushMetrics() const {
                                                       observe_flushed_);
       observe_flushed_ = ObserveCalls();
     }
-    for (const Nips& nips : bitmaps_) nips.FlushMetrics();
+    Nips::FlushMetrics();
   }
 }
 
@@ -163,8 +165,16 @@ double NipsCi::EstimateStdError() const {
 }
 
 Status NipsCi::Merge(const NipsCi& other) {
+  // Every compatibility check runs before the first mutation, so a
+  // refused merge leaves this ensemble (delta marks included) untouched.
+  // The bitmaps of an ensemble share one set of conditions and options
+  // (construction and Deserialize both enforce it), so comparing the
+  // ensembles' settings covers every bitmap pair.
   if (!(conditions_ == other.conditions_)) {
     return Status::InvalidArgument("NipsCi::Merge: conditions differ");
+  }
+  if (!(options_.nips == other.options_.nips)) {
+    return Status::InvalidArgument("NipsCi::Merge: bitmap options differ");
   }
   if (options_.num_bitmaps != other.options_.num_bitmaps ||
       options_.seed != other.options_.seed ||
@@ -177,7 +187,8 @@ Status NipsCi::Merge(const NipsCi& other) {
   // the next SerializeDelta resync with a full snapshot.
   delta_marks_.clear();
   for (size_t i = 0; i < bitmaps_.size(); ++i) {
-    IMPLISTAT_RETURN_NOT_OK(bitmaps_[i].Merge(other.bitmaps_[i]));
+    const Status merged = bitmaps_[i].Merge(other.bitmaps_[i]);
+    IMPLISTAT_CHECK(merged.ok()) << merged.ToString();
   }
   IMPLISTAT_IF_METRICS(NipsCiMetrics::Get().merges->Increment());
   return Status::OK();
@@ -227,10 +238,13 @@ StatusOr<NipsCi> NipsCi::Deserialize(std::string_view bytes) {
   options.num_bitmaps = static_cast<int>(num_bitmaps);
   options.hash_kind = static_cast<HashKind>(hash_kind);
 
+  // Bitmaps after the first must carry its conditions and options, and
+  // share its configuration block.
   std::vector<Nips> bitmaps;
   bitmaps.reserve(num_bitmaps);
   for (uint32_t i = 0; i < num_bitmaps; ++i) {
-    IMPLISTAT_ASSIGN_OR_RETURN(Nips nips, Nips::Deserialize(&in));
+    IMPLISTAT_ASSIGN_OR_RETURN(
+        Nips nips, Nips::Deserialize(&in, i == 0 ? nullptr : &bitmaps[0]));
     bitmaps.push_back(std::move(nips));
   }
   if (!in.AtEnd()) {
@@ -240,10 +254,10 @@ StatusOr<NipsCi> NipsCi::Deserialize(std::string_view bytes) {
   // invariants are re-derived, then adopt the decoded bitmaps.
   options.nips = bitmaps.front().options();
   NipsCi out(bitmaps.front().conditions(), options);
-  for (uint32_t i = 1; i < num_bitmaps; ++i) {
-    if (!(bitmaps[i].conditions() == bitmaps[0].conditions())) {
-      return Status::InvalidArgument("NipsCi: inconsistent conditions");
-    }
+  if (!(out.options_.nips == options.nips)) {
+    // The routing bits shortened the bitmaps: the snapshot's bitmap
+    // length does not fit its bitmap count.
+    return Status::InvalidArgument("NipsCi: bitmap length exceeds the hash");
   }
   out.bitmaps_ = std::move(bitmaps);
   IMPLISTAT_IF_METRICS(NipsCiMetrics::Get().deserializes->Increment());
@@ -389,7 +403,8 @@ size_t NipsCi::MemoryBytes() const {
   // are 16 KiB), the bitmap array and what each bitmap owns, and the
   // remembered delta baselines (up to kMaxDeltaMarks clocks per bitmap).
   size_t bytes = sizeof(*this) + hasher_->MemoryBytes() +
-                 (bitmaps_.capacity() - bitmaps_.size()) * sizeof(Nips);
+                 (bitmaps_.capacity() - bitmaps_.size()) * sizeof(Nips) +
+                 Nips::ConfigBytes();  // shared by all bitmaps
   for (const Nips& nips : bitmaps_) bytes += nips.MemoryBytes();
   bytes += delta_marks_.capacity() * sizeof(DeltaMark);
   for (const DeltaMark& mark : delta_marks_) {

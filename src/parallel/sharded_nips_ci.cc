@@ -133,10 +133,10 @@ void ShardedNipsCi::WorkerLoop(Shard* shard) {
     IngestBatch* batch = shard->queue.FrontWait();
     const bool stop = batch->size == 0;
     ProcessBatch(*batch);
-    // Make this thread's pending dirty-exclusion counts visible before
-    // the slot is released: the PopFront release / WaitEmpty acquire pair
-    // orders them before any router-side snapshot.
-    IMPLISTAT_IF_METRICS(FlushDirtyExclusionMetrics());
+    // Make this thread's pending fringe-traffic and dirty-exclusion
+    // counts visible before the slot is released: the PopFront release /
+    // WaitEmpty acquire pair orders them before any router-side snapshot.
+    IMPLISTAT_IF_METRICS(Nips::FlushMetrics());
     batch->size = 0;  // reset the slot for reuse before handing it back
     shard->queue.PopFront();
     if (stop) return;

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "util/random.h"
+
 namespace implistat {
 namespace {
 
@@ -157,6 +165,91 @@ TEST(ItemsetStateTest, SupportCountsAllArrivalsIncludingUntracked) {
   ItemsetState state;
   for (ItemsetKey b = 0; b < 7; ++b) state.Observe(b, cond);
   EXPECT_EQ(state.support(), 7u);
+}
+
+// TopConfidence against a sort-based reference, across the three ways it
+// sums the top c counts (c at or past the counter count, a small c, and a
+// c large enough to bisect), with heavy ties among the counts.
+TEST(ItemsetStateTest, TopConfidenceMatchesSortedReference) {
+  // A support bound never reached keeps every state clean, so all the
+  // counters stay (unlimited tracking keeps one per distinct b).
+  auto cond = Cond(1, uint64_t{1} << 40, 1.0, 1, /*strict=*/false);
+  Rng rng(11);
+  for (int trial = 0; trial < 300; ++trial) {
+    ItemsetState state(/*unlimited_tracking=*/true);
+    std::vector<uint64_t> counts(1 + rng.Uniform(60), 0);
+    const uint64_t spread = 1 + rng.Uniform(6);
+    for (int i = 0; i < 400; ++i) {
+      const ItemsetKey b = rng.Uniform(counts.size());
+      if (rng.Uniform(spread) == 0 || counts[b] == 0) {
+        state.Observe(b, cond);
+        ++counts[b];
+      }
+    }
+    std::vector<uint64_t> seen;
+    for (uint64_t n : counts) {
+      if (n > 0) seen.push_back(n);
+    }
+    std::sort(seen.begin(), seen.end(), std::greater<uint64_t>());
+    for (uint32_t c : {1u, 2u, 3u, 8u, 9u, 17u, 40u, 100u}) {
+      uint64_t sum = 0;
+      for (size_t i = 0; i < std::min<size_t>(c, seen.size()); ++i) {
+        sum += seen[i];
+      }
+      EXPECT_EQ(state.TopConfidence(c),
+                static_cast<double>(sum) /
+                    static_cast<double>(state.support()))
+          << "trial " << trial << " c=" << c;
+    }
+  }
+}
+
+std::string Encode(const ItemsetState& state) {
+  ByteWriter out;
+  state.SerializeTo(&out);
+  return out.Release();
+}
+
+// Zero, one (inline) and several (spilled) pair counters survive copies,
+// moves and a wire round trip with their order intact.
+TEST(ItemsetStateTest, CopiesMovesAndRoundTripsKeepEveryCounter) {
+  auto cond = Cond(4, 1000, 0.5, 2, /*strict=*/false);
+  for (ItemsetKey partners : {0u, 1u, 2u, 3u, 4u, 9u}) {
+    ItemsetState state;
+    for (ItemsetKey b = 0; b < partners; ++b) {
+      for (ItemsetKey rep = 0; rep <= b; ++rep) state.Observe(10 + b, cond);
+    }
+    const std::string bytes = Encode(state);
+
+    ItemsetState copy(state);
+    EXPECT_EQ(Encode(copy), bytes);
+    ItemsetState assigned;
+    assigned.Observe(99, cond);
+    assigned = copy;
+    EXPECT_EQ(Encode(assigned), bytes);
+    ItemsetState moved(std::move(copy));
+    EXPECT_EQ(Encode(moved), bytes);
+    ItemsetState move_assigned;
+    move_assigned.Observe(98, cond);
+    move_assigned = std::move(moved);
+    EXPECT_EQ(Encode(move_assigned), bytes);
+
+    ByteReader in(bytes);
+    auto decoded = ItemsetState::Deserialize(&in);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(Encode(*decoded), bytes);
+    EXPECT_EQ(decoded->TopConfidence(2), state.TopConfidence(2));
+  }
+}
+
+// At K = 1 the single pair counter is inline: no heap beyond the state.
+TEST(ItemsetStateTest, SinglePairStateHoldsNoHeap) {
+  auto cond = Cond(1, 1000, 1.0, 1, /*strict=*/false);
+  ItemsetState state;
+  for (int i = 0; i < 10; ++i) state.Observe(5, cond);
+  EXPECT_EQ(state.MemoryBytes(), sizeof(ItemsetState));
+  state.Observe(6, cond);  // K = 1: evicts nothing, keeps one counter
+  EXPECT_EQ(state.MemoryBytes(), sizeof(ItemsetState));
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "baseline/exact_counter.h"
 #include "core/nips_ci_ensemble.h"
 #include "core/sliding.h"
 #include "datagen/netflow_gen.h"
@@ -192,6 +193,43 @@ TEST(MemoryHonestyTest, NipsCiM64WithDeltaTracking) {
           ASSERT_TRUE(est.SerializeDelta(epoch - 1, epoch).ok());
         }
       });
+}
+
+// K = 4 in tracking-bound mode: itemsets keep up to four pair counters,
+// so most past the first live in spilled heap arrays.
+TEST(MemoryHonestyTest, NipsCiM64WithSpilledPairCounters) {
+  ExpectHonestMemory(
+      [] {
+        ImplicationConditions cond = Conditions();
+        cond.max_multiplicity = 4;
+        cond.strict_multiplicity = false;
+        return std::make_unique<NipsCi>(cond, M64(HashKind::kMix));
+      },
+      FeedAll);
+}
+
+// The exact counter tracks every distinct b of every a. A support bound
+// no itemset reaches keeps them all clean, so each holds a pair counter
+// per partner: the unlimited-tracking spill path.
+TEST(MemoryHonestyTest, ExactCounterWithManyPartnersPerItemset) {
+  ExpectHonestMemory(
+      [] {
+        ImplicationConditions cond = Conditions();
+        cond.min_support = uint64_t{1} << 40;
+        cond.strict_multiplicity = false;
+        return std::make_unique<ExactImplicationCounter>(cond);
+      },
+      [](ExactImplicationCounter& est) {
+        for (uint64_t i = 0; i < 20000; ++i) est.Observe(i % 64, i % 997);
+      });
+}
+
+// The §4.6 memory claim rests on these: a bitmap header fits one cache
+// line, and a fringe itemset's state (with its first pair counter
+// inline) is half of one.
+TEST(MemoryHonestyTest, PerBitmapAndPerItemsetSizesArePinned) {
+  EXPECT_LE(sizeof(Nips), 64u);
+  EXPECT_LE(sizeof(ItemsetState), 32u);
 }
 
 TEST(MemoryHonestyTest, SlidingWindowWithDeltaTracking) {

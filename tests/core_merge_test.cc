@@ -177,6 +177,27 @@ TEST(NipsCiMergeTest, RejectsIncompatibleEnsembles) {
   EXPECT_FALSE(a.Merge(different_shape).ok());
 }
 
+// A refused merge mutates nothing: not the bitmaps, and not the delta
+// baselines a receiver may still be polling against.
+TEST(NipsCiMergeTest, RefusedMergeLeavesTargetUntouched) {
+  auto cond = Cond(1, 2, 1.0, 1);
+  NipsCi target(cond, Opts(3));
+  NipsCiOptions other_fringe = Opts(3);
+  other_fringe.nips.fringe_size = 5;
+  NipsCi other(cond, other_fringe);
+  for (ItemsetKey a = 0; a < 500; ++a) {
+    target.Observe(a, a % 2);
+    other.Observe(a, a % 3);
+  }
+  target.NoteSnapshotEpoch(1);
+  target.Observe(7, 9);
+  const std::string before = target.Serialize();
+  EXPECT_FALSE(target.Merge(other).ok());
+  EXPECT_EQ(target.Serialize(), before);
+  EXPECT_TRUE(target.SerializeDelta(1, 2).ok())
+      << "a refused merge dropped the delta baselines";
+}
+
 TEST(NipsCiMergeTest, MergeWithEmptyIsIdentity) {
   auto cond = Cond(1, 2, 1.0, 1);
   NipsCi loaded(cond, Opts(4));

@@ -121,6 +121,46 @@ TEST(SerdeFuzzTest, BitflippedValidSketchNeverCrashes) {
   }
 }
 
+// Every bitmap of an ensemble carries the same conditions and options on
+// the wire. A snapshot spliced from two ensembles whose bitmap options
+// differ must be refused at decode, not adopted with bitmap 0's options.
+TEST(SerdeFuzzTest, InconsistentBitmapOptionsRefused) {
+  ImplicationConditions cond;
+  cond.max_multiplicity = 2;
+  cond.min_support = 3;
+  cond.min_top_confidence = 0.9;
+  NipsCiOptions base;
+  base.num_bitmaps = 2;
+  base.seed = 4;
+  NipsCiOptions wider = base;
+  wider.nips.fringe_size = base.nips.fringe_size + 1;
+  NipsCiOptions roomier = base;
+  roomier.nips.capacity_factor = base.nips.capacity_factor + 1;
+
+  // Unobserved bitmaps encode to equal lengths after a 14-byte header
+  // (version, bitmap count, hash kind, seed), so bitmap 1 can be swapped.
+  const std::string ours = NipsCi(cond, base).Serialize();
+  constexpr size_t kHeader = 14;
+  const size_t bitmap_len = (ours.size() - kHeader) / 2;
+  ASSERT_EQ(kHeader + 2 * bitmap_len, ours.size());
+  ASSERT_TRUE(NipsCi::Deserialize(ours).ok());
+  for (const NipsCiOptions& other : {wider, roomier}) {
+    const std::string theirs = NipsCi(cond, other).Serialize();
+    ASSERT_EQ(theirs.size(), ours.size());
+    ASSERT_TRUE(NipsCi::Deserialize(theirs).ok());
+    const std::string spliced =
+        ours.substr(0, kHeader + bitmap_len) +
+        theirs.substr(kHeader + bitmap_len);
+    auto decoded = NipsCi::Deserialize(spliced);
+    EXPECT_FALSE(decoded.ok());
+    NipsCi target(cond, base);
+    EXPECT_FALSE(
+        target.RestoreState(WrapSnapshot(SnapshotKind::kNipsCi, spliced))
+            .ok());
+    EXPECT_EQ(target.Serialize(), ours);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Durable-state robustness: every estimator kind's RestoreState must turn
 // arbitrary corruption into a clean Status — no crash, no hang, and no
