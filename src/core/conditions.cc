@@ -171,6 +171,7 @@ bool ItemsetState::Observe(ItemsetKey b, const ImplicationConditions& cond) {
 
 uint64_t ItemsetState::TopCountSum(std::span<const Pair> pairs, uint32_t c) {
   uint64_t sum = 0;
+  if (c == 0) return 0;
   if (c >= pairs.size()) {
     for (const Pair& pair : pairs) sum += pair.count;
     return sum;
@@ -286,12 +287,11 @@ void ItemsetState::Merge(const ItemsetState& other,
       } else {
         // Tracking-bound mode: displace a counter this newcomer outweighs.
         const std::span<Pair> mine = pairs();
-        Pair* victim = std::min_element(
+        Pair& victim = *std::min_element(
             mine.begin(), mine.end(),
-            [](const Pair& x, const Pair& y) { return x.count < y.count; })
-            .base();
+            [](const Pair& x, const Pair& y) { return x.count < y.count; });
         if (mult_ <= cond.max_multiplicity) ++mult_;
-        if (victim->count < theirs.count) *victim = theirs;
+        if (victim.count < theirs.count) victim = theirs;
       }
     }
   }

@@ -39,9 +39,9 @@
 // and folds them into `implistat_shard_tuples_total{shard=...}` at
 // Drain(); `implistat_queue_depth{shard=...}` records each ring's depth
 // in batches at the moment a drain began — a measure of how far ahead
-// the router runs. Workers flush their thread-local dirty-exclusion
-// counts after every batch, so a snapshot taken after any read boundary
-// is exact (see fringe_cell.h).
+// the router runs. Workers flush their thread-local fringe-traffic and
+// dirty-exclusion counts after every batch, so a snapshot taken after
+// any read boundary is exact (see Nips::FlushMetrics).
 
 #ifndef IMPLISTAT_PARALLEL_SHARDED_NIPS_CI_H_
 #define IMPLISTAT_PARALLEL_SHARDED_NIPS_CI_H_

@@ -195,13 +195,15 @@ TEST(MemoryHonestyTest, NipsCiM64WithDeltaTracking) {
       });
 }
 
-// K = 4 in tracking-bound mode: itemsets keep up to four pair counters,
-// so most past the first live in spilled heap arrays.
+// K = 4 in tracking-bound mode: itemsets keep up to four pair counters
+// in spilled heap arrays. A support bound no itemset reaches keeps them
+// all clean, so no counter array is dropped by a dirty transition.
 TEST(MemoryHonestyTest, NipsCiM64WithSpilledPairCounters) {
   ExpectHonestMemory(
       [] {
         ImplicationConditions cond = Conditions();
         cond.max_multiplicity = 4;
+        cond.min_support = uint64_t{1} << 40;
         cond.strict_multiplicity = false;
         return std::make_unique<NipsCi>(cond, M64(HashKind::kMix));
       },

@@ -161,6 +161,33 @@ TEST(SerdeFuzzTest, InconsistentBitmapOptionsRefused) {
   }
 }
 
+// Routing takes log2(m) of the 64 hash bits, so a 2-bitmap ensemble has
+// 63-cell bitmaps. Two 64-cell bitmaps under a 2-bitmap header disagree
+// with the ensemble they would join and must be refused at decode.
+TEST(SerdeFuzzTest, BitmapLengthPastTheHashRefused) {
+  ImplicationConditions cond;
+  cond.max_multiplicity = 2;
+  cond.min_support = 3;
+  cond.min_top_confidence = 0.9;
+  NipsCiOptions one;
+  one.num_bitmaps = 1;
+  one.nips.bitmap_bits = 64;
+  NipsCiOptions two = one;
+  two.num_bitmaps = 2;
+  ASSERT_TRUE(NipsCi::Deserialize(NipsCi(cond, two).Serialize()).ok());
+
+  // Header: version, bitmap count (u32), hash kind, seed — 14 bytes.
+  const std::string single = NipsCi(cond, one).Serialize();
+  constexpr size_t kHeader = 14;
+  ByteWriter count;
+  count.PutU32(2);
+  const std::string bitmap = single.substr(kHeader);
+  const std::string doubled = single.substr(0, 1) + count.Release() +
+                              single.substr(5, kHeader - 5) + bitmap +
+                              bitmap;
+  EXPECT_FALSE(NipsCi::Deserialize(doubled).ok());
+}
+
 // ---------------------------------------------------------------------------
 // Durable-state robustness: every estimator kind's RestoreState must turn
 // arbitrary corruption into a clean Status — no crash, no hang, and no
