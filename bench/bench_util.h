@@ -26,6 +26,15 @@
 
 namespace implistat::bench {
 
+/// CMAKE_BUILD_TYPE of this binary, for the host facts a JSON row records.
+inline const char* BuildType() {
+#ifdef IMPLISTAT_BUILD_TYPE
+  return IMPLISTAT_BUILD_TYPE;
+#else
+  return "unknown";
+#endif
+}
+
 inline int EnvTrials(int def = 3) {
   const char* v = std::getenv("IMPLISTAT_TRIALS");
   if (v == nullptr) return def;

@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baseline/distinct_sampling.h"
@@ -28,7 +29,6 @@
 #include "core/estimator.h"
 #include "core/nips_ci_ensemble.h"
 #include "core/sliding.h"
-#include "parallel/sharded_nips_ci.h"
 #include "util/random.h"
 
 namespace implistat {
@@ -60,13 +60,6 @@ std::vector<KindSpec> AllKinds() {
   kinds.push_back({"nips_ci", [] {
                      return std::make_unique<NipsCi>(BenchConditions(),
                                                      EnsembleOptions());
-                   }});
-  kinds.push_back({"sharded_nips_ci_t4", [] {
-                     ShardedNipsCiOptions opts;
-                     opts.threads = 4;
-                     opts.ensemble = EnsembleOptions();
-                     return std::make_unique<ShardedNipsCi>(BenchConditions(),
-                                                            opts);
                    }});
   kinds.push_back({"sliding_nips_ci", [] {
                      SlidingOptions opts;
@@ -134,8 +127,8 @@ int main(int argc, char** argv) {
   std::printf("n=%llu tuples, trials=%d\n\n",
               static_cast<unsigned long long>(n), trials);
 
-  // Same workload family as parallel_scaling: half loyal itemsets (one
-  // b forever), half violators (random b), 200k distinct itemsets.
+  // Half loyal itemsets (one b forever), half violators (random b), 200k
+  // distinct itemsets.
   Rng workload_rng(99);
   std::vector<ItemsetPair> tuples;
   tuples.reserve(n);
@@ -207,6 +200,9 @@ int main(int argc, char** argv) {
          << "  \"workload\": \"loyal/violator, 200k distinct itemsets\",\n"
          << "  \"n_tuples\": " << n << ",\n"
          << "  \"trials\": " << trials << ",\n"
+         << "  \"host_cpus\": " << std::thread::hardware_concurrency()
+         << ",\n"
+         << "  \"build_type\": \"" << bench::BuildType() << "\",\n"
          << "  \"note\": \"snapshot_bytes includes the versioned envelope "
          << "(magic, version, kind, length, CRC32C); every restore is "
          << "verified to answer identically before timing is reported\",\n"

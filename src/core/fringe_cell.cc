@@ -37,8 +37,9 @@ struct DirtyMetrics {
 // atomic RMW each would show up on the ingest path. They are counted with
 // plain thread-local increments and folded into the shared counters by
 // FlushDirtyExclusionMetrics() (called from Nips::FlushMetrics at read
-// boundaries). Concurrent ingest threads each carry their own pending
-// counts; a thread's remainder becomes visible at its next flush.
+// boundaries). Engines ingesting on different threads each carry their
+// own pending counts; a thread's remainder becomes visible when that
+// thread next reaches a read boundary.
 struct PendingDirty {
   uint64_t multiplicity = 0;
   uint64_t confidence = 0;

@@ -60,9 +60,9 @@ struct NipsMetrics {
 
 // Fringe events since this thread's last FlushMetrics, across every
 // bitmap the thread updated. Plain adds on the insert and (rare) settle
-// paths, like the dirty-exclusion counts in fringe_cell.cc; concurrent
-// ingest threads each carry their own, and a worker flushes after each
-// batch.
+// paths, like the dirty-exclusion counts in fringe_cell.cc. Engines
+// ingesting on different threads each carry their own, and a thread's
+// events become visible when that thread next reaches a read boundary.
 struct PendingTraffic {
   uint64_t insertions = 0;
   uint64_t evictions = 0;

@@ -106,11 +106,10 @@ class Nips {
   }
 
   /// Cache hint that ObserveAt is about to touch this bitmap. The batched
-  /// ingest paths (NipsCi::ObserveBatch, the shard workers of
-  /// src/parallel) issue these a few records ahead so the loads of a batch
-  /// overlap instead of serializing on misses. The masks that decide most
-  /// observes live in the header; a live cell's itemsets sit behind the
-  /// slot array.
+  /// ingest path (NipsCi::ObserveBatch) issues these a few records ahead
+  /// so the loads of a batch overlap instead of serializing on misses.
+  /// The masks that decide most observes live in the header; a live
+  /// cell's itemsets sit behind the slot array.
   void Prefetch() const {
     __builtin_prefetch(this, /*rw=*/1, /*locality=*/1);
     __builtin_prefetch(slots_, /*rw=*/1, /*locality=*/1);
@@ -144,9 +143,8 @@ class Nips {
   /// touches an atomic: events accumulate in thread-local counters (for
   /// every bitmap the thread updates) and become visible here. Called
   /// from every read accessor (TrackedItemsets / MemoryBytes /
-  /// SerializeTo), from NipsCi before estimates and snapshots, and by
-  /// parallel ingest workers after each batch; no-op when metrics are
-  /// compiled out.
+  /// SerializeTo) and from NipsCi before estimates and snapshots; no-op
+  /// when metrics are compiled out.
   static void FlushMetrics();
 
   /// The per-bitmap itemset budget, or 0 when unbounded.

@@ -9,11 +9,12 @@
 //      too expensive for a per-tuple path that itself costs single-digit
 //      nanoseconds, so the instrumented hot paths (NipsCi::Observe,
 //      Nips::ObserveAt, FringeCell) accumulate events in plain member /
-//      thread-local counters and fold them into the registry at read
-//      boundaries (estimate / serialize / memory / tracked-itemset
-//      calls — see Nips::FlushMetrics). Latency timers are sampled
-//      (kLatencySampleMask) so the steady_clock reads amortize to under
-//      a tenth of a nanosecond per tuple.
+//      thread-local counters, and the ingesting thread folds them into
+//      the registry at its read boundaries (estimate / serialize /
+//      memory / tracked-itemset calls — see Nips::FlushMetrics).
+//      Latency timers are sampled (kLatencySampleMask) so the
+//      steady_clock reads amortize to under a tenth of a nanosecond per
+//      tuple.
 //   2. Zero cost when disabled. Two parallel implementations live side by
 //      side: `real` (always compiled, so one build exercises both) and
 //      `nullimpl` (every method an empty inline). The `obs::Counter` etc.

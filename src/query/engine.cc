@@ -248,9 +248,9 @@ Status QueryEngine::ObserveStream(TupleStream& stream) {
   }
   // Batched drain: per-synopsis pair buffers feed the estimators through
   // ObserveBatch, amortizing the virtual dispatch and enabling the
-  // NipsCi/ShardedNipsCi fast paths. Each estimator still sees its
-  // elements in exact stream order, so answers are identical to the
-  // per-tuple ObserveTuple path.
+  // NipsCi fast path. Each estimator still sees its elements in exact
+  // stream order, so answers are identical to the per-tuple ObserveTuple
+  // path.
   constexpr size_t kBatch = 256;
   std::vector<SynopsisEntry>& entries = store_.entries();
   std::vector<std::vector<ItemsetPair>> pending(entries.size());
@@ -429,13 +429,9 @@ Status QueryEngine::MergeEstimatorState(QueryId id,
         "derived queries own no synopsis to merge into");
   }
   SynopsisEntry& entry = store_.entry(query.synopsis);
-  // Decode into a sequential twin built from the same config: cheap to
-  // construct, and sharded/sequential snapshots are interchangeable, so a
-  // threads=1 twin accepts either without spinning up a pipeline.
-  EstimatorConfig twin_config = entry.config;
-  twin_config.threads = 1;
+  // Decode into a twin built from the same config.
   IMPLISTAT_ASSIGN_OR_RETURN(std::unique_ptr<ImplicationEstimator> twin,
-                             MakeEstimator(entry.conditions, twin_config));
+                             MakeEstimator(entry.conditions, entry.config));
   IMPLISTAT_RETURN_NOT_OK(twin->RestoreState(snapshot));
   // MergeFrom leaves the target untouched on failure (estimator
   // contract), so a bad snapshot never half-mutates the live synopsis.
@@ -460,15 +456,13 @@ Status QueryEngine::RefoldSynopsisState(
   }
   SynopsisEntry& entry = store_.entry(id);
   // Build the replacement from the synopsis config so the refolded
-  // estimator keeps its ingest shape (threads, window), then fold each
-  // snapshot through a sequential twin exactly like MergeEstimatorState.
+  // estimator keeps its shape (window), then fold each snapshot through a
+  // twin exactly like MergeEstimatorState.
   IMPLISTAT_ASSIGN_OR_RETURN(std::unique_ptr<ImplicationEstimator> fresh,
                              MakeEstimator(entry.conditions, entry.config));
-  EstimatorConfig twin_config = entry.config;
-  twin_config.threads = 1;
   for (std::string_view snapshot : snapshots) {
     IMPLISTAT_ASSIGN_OR_RETURN(std::unique_ptr<ImplicationEstimator> twin,
-                               MakeEstimator(entry.conditions, twin_config));
+                               MakeEstimator(entry.conditions, entry.config));
     IMPLISTAT_RETURN_NOT_OK(twin->RestoreState(snapshot));
     IMPLISTAT_RETURN_NOT_OK(fresh->MergeFrom(*twin));
   }

@@ -42,12 +42,6 @@ enum class EstimatorKind {
 
 struct EstimatorConfig {
   EstimatorKind kind = EstimatorKind::kNipsCi;
-  /// Ingest worker threads for the NIPS/CI estimator. > 1 builds the
-  /// sharded parallel pipeline (src/parallel/sharded_nips_ci.h) with
-  /// min(threads, num_bitmaps) workers — estimates stay bit-identical to
-  /// the sequential estimator. Ignored (sequential) for windowed queries
-  /// and for the baseline estimators.
-  int threads = 1;
   /// Sliding window in tuples; 0 = lifetime counts (§3.2). Windowed
   /// queries require the NIPS/CI estimator.
   uint64_t window = 0;

@@ -87,7 +87,7 @@ StatusOr<uint8_t> PeekEnvelopeTag(const EnvelopeFamily& family,
 /// Identifies which estimator (or container) produced a snapshot payload.
 /// Values are part of the wire format — append only, never renumber.
 enum class SnapshotKind : uint8_t {
-  kNipsCi = 1,           // NipsCi and ShardedNipsCi (interchangeable)
+  kNipsCi = 1,           // NipsCi
   kExactCounter = 2,     // ExactImplicationCounter
   kDistinctSampling = 3, // DistinctSampling
   kIlc = 4,              // Ilc (Implication Lossy Counting)

@@ -19,7 +19,7 @@
 #include "core/incremental.h"
 #include "core/nips_ci_ensemble.h"
 #include "core/sliding.h"
-#include "parallel/sharded_nips_ci.h"
+#include "legacy_snapshots.h"
 
 namespace implistat {
 namespace {
@@ -52,12 +52,6 @@ struct Kind {
 
 std::unique_ptr<ImplicationEstimator> MakeNips() {
   return std::make_unique<NipsCi>(TestConditions(), SmallEnsemble());
-}
-std::unique_ptr<ImplicationEstimator> MakeSharded() {
-  ShardedNipsCiOptions options;
-  options.threads = 4;
-  options.ensemble = SmallEnsemble();
-  return std::make_unique<ShardedNipsCi>(TestConditions(), options);
 }
 std::unique_ptr<ImplicationEstimator> MakeExact() {
   return std::make_unique<ExactImplicationCounter>(TestConditions());
@@ -94,7 +88,6 @@ std::unique_ptr<ImplicationEstimator> MakeSliding() {
 const std::vector<Kind>& AllKinds() {
   static const std::vector<Kind> kinds = {
       {"nips_ci", MakeNips, true},
-      {"sharded_nips_ci", MakeSharded, true},
       {"exact", MakeExact, false},
       {"distinct_sampling", MakeDs, false},
       {"ilc", MakeIlc, false},
@@ -169,53 +162,42 @@ TEST(StateRoundtripTest, RestoreReplacesPriorState) {
   }
 }
 
-// The sharded pipeline snapshots under the same kNipsCi kind as the
-// sequential ensemble: a mid-stream checkpoint moves freely between the
-// two, and both stay byte-identical to the sequential twin.
+// A snapshot written by the retired 4-thread sharded ingest pipeline
+// (legacy_snapshots.h) after Feed(0, kCut) carries the same kNipsCi bytes
+// a sequential ensemble writes for that prefix, and resumes into one
+// byte-identically to the uninterrupted run.
 TEST(StateRoundtripTest, ShardedCheckpointInterchangesWithSequential) {
+  const std::string snapshot =
+      legacy::FromHex(legacy::kThreads4NipsCiSnapshotHex);
+  std::unique_ptr<ImplicationEstimator> prefix = MakeNips();
+  Feed(prefix.get(), 0, kCut);
+  auto prefix_bytes = prefix->SerializeState();
+  ASSERT_TRUE(prefix_bytes.ok());
+  EXPECT_EQ(*prefix_bytes, snapshot);
+
   std::unique_ptr<ImplicationEstimator> sequential_twin = MakeNips();
   Feed(sequential_twin.get(), 0, kStream);
-
-  std::unique_ptr<ImplicationEstimator> sharded = MakeSharded();
-  Feed(sharded.get(), 0, kCut);
-  auto snapshot = sharded->SerializeState();
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
-
-  std::unique_ptr<ImplicationEstimator> resumed_sharded = MakeSharded();
-  ASSERT_TRUE(resumed_sharded->RestoreState(*snapshot).ok());
-  Feed(resumed_sharded.get(), kCut, kStream);
-
-  std::unique_ptr<ImplicationEstimator> resumed_sequential = MakeNips();
-  ASSERT_TRUE(resumed_sequential->RestoreState(*snapshot).ok());
-  Feed(resumed_sequential.get(), kCut, kStream);
+  std::unique_ptr<ImplicationEstimator> resumed = MakeNips();
+  ASSERT_TRUE(resumed->RestoreState(snapshot).ok());
+  Feed(resumed.get(), kCut, kStream);
 
   auto twin_bytes = sequential_twin->SerializeState();
-  auto sharded_bytes = resumed_sharded->SerializeState();
-  auto sequential_bytes = resumed_sequential->SerializeState();
+  auto resumed_bytes = resumed->SerializeState();
   ASSERT_TRUE(twin_bytes.ok());
-  ASSERT_TRUE(sharded_bytes.ok());
-  ASSERT_TRUE(sequential_bytes.ok());
-  EXPECT_EQ(*sharded_bytes, *twin_bytes);
-  EXPECT_EQ(*sequential_bytes, *twin_bytes);
-
-  // And the reverse direction: a sequential checkpoint restores into a
-  // sharded pipeline.
-  std::unique_ptr<ImplicationEstimator> back_to_sharded = MakeSharded();
-  ASSERT_TRUE(back_to_sharded->RestoreState(*twin_bytes).ok());
-  EXPECT_DOUBLE_EQ(back_to_sharded->EstimateImplicationCount(),
-                   sequential_twin->EstimateImplicationCount());
+  ASSERT_TRUE(resumed_bytes.ok());
+  EXPECT_EQ(*resumed_bytes, *twin_bytes);
 }
 
 // The paper's hierarchy (§3): nodes snapshot state, ship it upstream, and
-// an aggregator folds it in — across its own restarts.
+// an aggregator folds it in — across its own restarts. Node B is the
+// sharded-era snapshot above, restored into a sequential ensemble.
 TEST(StateRoundtripTest, MergeAcrossRestart) {
   std::unique_ptr<ImplicationEstimator> node_a = MakeNips();
-  std::unique_ptr<ImplicationEstimator> node_b = MakeSharded();
-  for (uint64_t i = 0; i < kStream; ++i) {
-    ItemsetKey a = i % 400;
-    ItemsetKey b = (a % 10 == 0) ? (i % 3) : (a % 5);
-    (i % 2 == 0 ? node_a : node_b)->Observe(a, b);
-  }
+  Feed(node_a.get(), kCut, kStream);
+  std::unique_ptr<ImplicationEstimator> node_b = MakeNips();
+  const std::string node_b_snapshot =
+      legacy::FromHex(legacy::kThreads4NipsCiSnapshotHex);
+  ASSERT_TRUE(node_b->RestoreState(node_b_snapshot).ok());
 
   // Aggregator 1 merges node A, checkpoints, and "crashes".
   std::unique_ptr<ImplicationEstimator> aggregator = MakeNips();
@@ -223,8 +205,7 @@ TEST(StateRoundtripTest, MergeAcrossRestart) {
   auto checkpoint = aggregator->SerializeState();
   ASSERT_TRUE(checkpoint.ok());
 
-  // Aggregator 2 restores and finishes the job (a sharded node merges
-  // into a sequential aggregator through the shared wire format).
+  // Aggregator 2 restores and finishes the job.
   std::unique_ptr<ImplicationEstimator> replacement = MakeNips();
   ASSERT_TRUE(replacement->RestoreState(*checkpoint).ok());
   ASSERT_TRUE(replacement->MergeFrom(*node_b).ok());

@@ -16,7 +16,6 @@
 #include "baseline/sticky_sampling.h"
 #include "core/nips_ci_ensemble.h"
 #include "core/sliding.h"
-#include "parallel/sharded_nips_ci.h"
 #include "delta/delta.h"
 #include "query/engine.h"
 #include "query/parser.h"
@@ -218,15 +217,6 @@ const std::vector<DurableKind>& DurableKinds() {
          return std::unique_ptr<ImplicationEstimator>(
              std::make_unique<NipsCi>(StateCond(), o));
        }},
-      {"sharded_nips_ci",
-       [] {
-         ShardedNipsCiOptions o;
-         o.threads = 2;
-         o.ensemble.num_bitmaps = 8;
-         o.ensemble.seed = 21;
-         return std::unique_ptr<ImplicationEstimator>(
-             std::make_unique<ShardedNipsCi>(StateCond(), o));
-       }},
       {"exact",
        [] {
          return std::unique_ptr<ImplicationEstimator>(
@@ -379,8 +369,7 @@ TEST(StateFuzzTest, RandomGarbageRejectedByEveryKind) {
 
 TEST(StateFuzzTest, WrongKindSnapshotsRejected) {
   // Pre-serialize one snapshot per kind, then try every (snapshot, target)
-  // pair. Only matching kinds — plus the sharded/sequential NIPS/CI pair,
-  // which shares a wire format by design — may restore.
+  // pair. Only matching kinds may restore.
   std::vector<std::string> snapshots;
   for (const DurableKind& kind : DurableKinds()) {
     auto source = kind.make();
@@ -390,14 +379,9 @@ TEST(StateFuzzTest, WrongKindSnapshotsRejected) {
     snapshots.push_back(std::move(*snapshot));
   }
   const auto& kinds = DurableKinds();
-  auto nips_compatible = [](const std::string& name) {
-    return name == "nips_ci" || name == "sharded_nips_ci";
-  };
   for (size_t s = 0; s < kinds.size(); ++s) {
     for (size_t t = 0; t < kinds.size(); ++t) {
-      const bool compatible =
-          s == t || (nips_compatible(kinds[s].name) &&
-                     nips_compatible(kinds[t].name));
+      const bool compatible = s == t;
       auto target = kinds[t].make();
       FeedState(target.get(), 100, 300);
       const double baseline = target->EstimateImplicationCount();
@@ -445,12 +429,20 @@ TEST(StateFuzzTest, FutureVersionSnapshotsRejected) {
 // ---------------------------------------------------------------------------
 
 const std::vector<DurableKind>& DeltaCapableKinds() {
-  static const std::vector<DurableKind> kinds = {DurableKinds()[0],   // nips_ci
-                                                 DurableKinds()[6]};  // sliding
+  static const std::vector<DurableKind> kinds = [] {
+    std::vector<DurableKind> out;
+    for (const DurableKind& kind : DurableKinds()) {
+      if (kind.name == "nips_ci" || kind.name == "sliding_nips_ci") {
+        out.push_back(kind);
+      }
+    }
+    return out;
+  }();
   return kinds;
 }
 
 TEST(DeltaFuzzTest, CorruptDeltasRefusedThenResyncCleanly) {
+  ASSERT_EQ(DeltaCapableKinds().size(), 2u);
   for (const DurableKind& kind : DeltaCapableKinds()) {
     SCOPED_TRACE(kind.name);
     auto source = kind.make();
@@ -648,6 +640,37 @@ TEST(StateFuzzTest, QueryEngineSnapshotFuzz) {
     QueryEngine victim(Schema({{"A", 64}, {"B", 32}}));
     EXPECT_FALSE(victim.RestoreState(snapshot->substr(0, len)).ok());
     EXPECT_EQ(victim.num_queries(), 0);
+  }
+}
+
+// The estimator config keeps the varint slot of the retired ingest-thread
+// count: any value in 1..2^20 decodes (and re-encodes as 1), anything
+// else is refused.
+TEST(StateFuzzTest, EstimatorConfigThreadSlotRangeChecked) {
+  ByteWriter writer;
+  EstimatorConfig().SerializeTo(&writer);
+  const std::string canonical = writer.Release();
+  ASSERT_EQ(canonical[1], '\x01');  // the kind byte, then the slot
+  auto with_slot = [&](uint64_t threads) {
+    ByteWriter slot;
+    slot.PutVarint64(threads);
+    return canonical.substr(0, 1) + slot.Release() + canonical.substr(2);
+  };
+  auto decode = [](const std::string& bytes) {
+    ByteReader in(bytes);
+    return EstimatorConfig::Deserialize(&in);
+  };
+  for (uint64_t threads : {uint64_t{1}, uint64_t{4}, uint64_t{1} << 20}) {
+    auto config = decode(with_slot(threads));
+    ASSERT_TRUE(config.ok()) << threads << ": " << config.status();
+    ByteWriter reencoded;
+    config->SerializeTo(&reencoded);
+    EXPECT_EQ(reencoded.Release(), canonical) << threads;
+  }
+  for (uint64_t threads : {uint64_t{0}, (uint64_t{1} << 20) + 1}) {
+    EXPECT_EQ(decode(with_slot(threads)).status().code(),
+              StatusCode::kInvalidArgument)
+        << threads;
   }
 }
 

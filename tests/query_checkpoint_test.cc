@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "legacy_snapshots.h"
 #include "query/engine.h"
 #include "query/predicate.h"
 #include "util/fileio.h"
@@ -39,8 +40,8 @@ ImplicationQuerySpec BaseSpec() {
   return spec;
 }
 
-// A representative mix: ground truth, a WHERE-filtered NIPS/CI query, a
-// sharded parallel query and a sliding-window query.
+// A representative mix: ground truth, a WHERE-filtered NIPS/CI query, an
+// unfiltered one and a sliding-window query.
 void RegisterSuite(QueryEngine& engine) {
   ImplicationQuerySpec exact = BaseSpec();
   exact.estimator.kind = EstimatorKind::kExact;
@@ -54,12 +55,11 @@ void RegisterSuite(QueryEngine& engine) {
   morning.label = "morning only";
   ASSERT_TRUE(engine.Register(std::move(morning)).ok());
 
-  ImplicationQuerySpec sharded = BaseSpec();
-  sharded.estimator.kind = EstimatorKind::kNipsCi;
-  sharded.estimator.nips.num_bitmaps = 8;
-  sharded.estimator.threads = 4;
-  sharded.label = "sharded";
-  ASSERT_TRUE(engine.Register(std::move(sharded)).ok());
+  ImplicationQuerySpec unfiltered = BaseSpec();
+  unfiltered.estimator.kind = EstimatorKind::kNipsCi;
+  unfiltered.estimator.nips.num_bitmaps = 8;
+  unfiltered.label = "unfiltered";
+  ASSERT_TRUE(engine.Register(std::move(unfiltered)).ok());
 
   ImplicationQuerySpec windowed = BaseSpec();
   windowed.estimator.kind = EstimatorKind::kNipsCi;
@@ -116,6 +116,42 @@ TEST(QueryCheckpointTest, FileRoundTripResumesExactly) {
   Feed(resumed, 600, 1200);
   ExpectSameAnswers(resumed, uninterrupted);
   std::remove(path.c_str());
+}
+
+// A checkpoint written while the unfiltered query ingested on 4 sharded
+// threads (legacy_snapshots.h) restores into sequential estimators and
+// resumes exactly like the uninterrupted sequential run: answers agree,
+// and every NIPS/CI synopsis re-serializes to the same bytes.
+TEST(QueryCheckpointTest, ShardedEraCheckpointResumesSequentially) {
+  QueryEngine uninterrupted(TestSchema());
+  RegisterSuite(uninterrupted);
+  Feed(uninterrupted, 0, 600);
+
+  QueryEngine resumed(TestSchema());
+  Status restored = resumed.RestoreState(
+      legacy::FromHex(legacy::kThreads4EngineCheckpointHex));
+  ASSERT_TRUE(restored.ok()) << restored;
+  ExpectSameAnswers(resumed, uninterrupted);
+
+  Feed(uninterrupted, 600, 1200);
+  Feed(resumed, 600, 1200);
+  ExpectSameAnswers(resumed, uninterrupted);
+  for (QueryId id = 1; id < resumed.num_queries(); ++id) {
+    auto resumed_bytes = (*resumed.Estimator(id))->SerializeState();
+    auto expected_bytes = (*uninterrupted.Estimator(id))->SerializeState();
+    ASSERT_TRUE(resumed_bytes.ok());
+    ASSERT_TRUE(expected_bytes.ok());
+    EXPECT_EQ(*resumed_bytes, *expected_bytes) << "query " << id;
+  }
+
+  // The restored synopsis is keyed without its thread count: a new query
+  // with the same spec shares it.
+  ImplicationQuerySpec again = BaseSpec();
+  again.estimator.nips.num_bitmaps = 8;
+  auto again_id = resumed.Register(std::move(again));
+  ASSERT_TRUE(again_id.ok()) << again_id.status();
+  EXPECT_EQ(resumed.SynopsisOf(*again_id).value(),
+            resumed.SynopsisOf(2).value());
 }
 
 TEST(QueryCheckpointTest, StringRoundTripPreservesState) {
